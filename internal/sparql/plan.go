@@ -975,10 +975,12 @@ const semScanFloor = 64
 // with the given bound sides, in byP order (Fact.Less, i.e. (S, O) within
 // one predicate). When a side is bound and its descendant cone is small
 // relative to the predicate's fact list, the candidates are collected
-// through the bySP/byPO point indexes and re-sorted into byP order —
-// exactly the subsequence of the full scan that survives that side's ≤
-// filter, at a fraction of the cost. Otherwise it returns the shared byP
-// slice and the caller's per-fact filters do the work as before.
+// through the bySP/byPO point indexes — exactly the subsequence of the full
+// scan that survives that side's ≤ filter, at a fraction of the cost — and
+// re-sorted into byP order only if the collection order differs from it.
+// Each point list is sorted, so a one-element cone (a leaf) never needs the
+// sort. Otherwise it returns the shared byP slice and the caller's per-fact
+// filters do the work as before.
 func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK bool, obj vocab.TermID, oOK bool) []ontology.Fact {
 	st, v := pl.store, pl.v
 	all := st.FactsWithPredicate(pred)
@@ -994,8 +996,7 @@ func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK bool, obj v
 					out = append(out, ontology.Fact{S: d, P: pred, O: ob})
 				}
 			}
-			sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
-			return out
+			return inByPOrder(out)
 		}
 	}
 	if oOK {
@@ -1006,17 +1007,29 @@ func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK bool, obj v
 					out = append(out, ontology.Fact{S: sb, P: pred, O: d})
 				}
 			}
-			sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
-			return out
+			return inByPOrder(out)
 		}
 	}
 	return all
 }
 
+// inByPOrder sorts index-collected candidates into byP order unless they
+// already are in it, which a one-element cone's single sorted point list
+// always is.
+func inByPOrder(fs []ontology.Fact) []ontology.Fact {
+	less := func(a, b int) bool { return fs[a].Less(fs[b]) }
+	if !sort.SliceIsSorted(fs, less) {
+		sort.Slice(fs, less)
+	}
+	return fs
+}
+
 // runSemTriple matches the pattern against facts stored under one concrete
 // predicate with Definition 2.5 semantics: a stored fact g witnesses the
 // pattern fact f when f ≤ g, and free variables additionally range over
-// generalizations of the stored values.
+// generalizations of the stored values. A free side walks the shared,
+// memoized ancestor list of the stored value in place and then the value
+// itself (general-first, then self), so matching builds no list per fact.
 func (pl *Plan) runSemTriple(ex *exec, o *op, pred vocab.TermID, i int) {
 	v := pl.v
 	s, sOK := ex.resolve(o.s)
@@ -1031,23 +1044,28 @@ func (pl *Plan) runSemTriple(ex *exec, o *op, pred vocab.TermID, i int) {
 		if oOK && !v.LeqE(obj, g.O) {
 			continue
 		}
-		var sArr, oArr [1]vocab.TermID
-		subjects := sArr[:]
-		sArr[0] = g.S
+		var sAnc, oAnc []vocab.TermID
 		if !sOK && o.s.slot >= 0 {
-			subjects = append(v.ElementAncestors(g.S), g.S)
+			sAnc = v.ElementAncestors(g.S)
 		}
-		objects := oArr[:]
-		oArr[0] = g.O
 		if !oOK && o.o.slot >= 0 {
-			objects = append(v.ElementAncestors(g.O), g.O)
+			oAnc = v.ElementAncestors(g.O)
 		}
-		for _, sv := range subjects {
+		// Index len(xAnc) stands for the stored value itself.
+		for si := 0; si <= len(sAnc); si++ {
+			sv := g.S
+			if si < len(sAnc) {
+				sv = sAnc[si]
+			}
 			ok1, fr1 := ex.trySet(o.s, sv)
 			if !ok1 {
 				continue
 			}
-			for _, ov := range objects {
+			for oi := 0; oi <= len(oAnc); oi++ {
+				ov := g.O
+				if oi < len(oAnc) {
+					ov = oAnc[oi]
+				}
 				if ok2, fr2 := ex.trySet(o.o, ov); ok2 {
 					pl.step(ex, i+1)
 					if fr2 {

@@ -140,6 +140,7 @@ func BenchmarkFleet(b *testing.B) {
 	store := loadSmokeStore(b)
 	cfg := FleetConfig{Queries: 200, Executions: 800, Seed: 5}
 	fleet := SampleFleet(SmokeScale(), cfg)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := RunFleet(store, fleet, cfg)

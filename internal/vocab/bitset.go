@@ -32,3 +32,15 @@ func (b bitset) count() int {
 	}
 	return n
 }
+
+// appendMembers appends the indexes of the set bits to dst in increasing
+// order, visiting only non-zero words.
+func (b bitset) appendMembers(dst []TermID) []TermID {
+	for wi, w := range b {
+		for w != 0 {
+			dst = append(dst, TermID(wi<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}

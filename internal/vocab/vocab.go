@@ -67,18 +67,22 @@ type namespace struct {
 	// ancestors[id] is the set of all strict generalizations of id,
 	// computed at Freeze.
 	ancestors []bitset
-	// topo holds ids in topological order, most general first.
+	// topo holds ids in topological order, most general first; rank is its
+	// inverse (rank[topo[i]] == i), the sort key of every memoized list.
 	topo []TermID
+	rank []int32
 	// depth[id] is the length of the longest chain from a root to id.
 	depth []int
 	// ancList[id] memoizes the ancestor list ElementAncestors derives from
-	// the ancestors bitset. Materializing a list costs a full topo scan, and
-	// semantic-mode pattern matching asks for the same elements' ancestors
-	// once per stored fact — without the memo that scan turns quadratic in
-	// vocabulary size. Filled lazily, published atomically; lists are stored
-	// with no spare capacity so callers appending to one reallocate instead
-	// of clobbering the shared backing array. descList is the same memo for
-	// Descendants.
+	// the ancestors bitset: semantic-mode pattern matching walks the same
+	// elements' ancestors once per stored fact, reading the shared list in
+	// place. A cold entry is filled from the set bits of ancestors[id], word
+	// by word, then sorted by rank — work proportional to |ℰ|/64 plus the
+	// list, not a scan of the whole topo order. Filled lazily, published
+	// atomically; lists are stored with no spare capacity so a caller that
+	// appends to one reallocates instead of clobbering the shared backing
+	// array. descList is the same memo for Descendants, filled by walking
+	// children edges from id and sorted the same way.
 	ancList  []atomic.Pointer[[]TermID]
 	descList []atomic.Pointer[[]TermID]
 }
@@ -171,6 +175,10 @@ func (n *namespace) freeze() error {
 	if len(n.topo) != size {
 		return fmt.Errorf("vocab: order contains a cycle")
 	}
+	n.rank = make([]int32, size)
+	for i, id := range n.topo {
+		n.rank[id] = int32(i)
+	}
 	// Deterministic neighbour order for deterministic traversal.
 	for id := range n.parents {
 		sortIDs(n.parents[id])
@@ -189,17 +197,18 @@ func (n *namespace) ancestorList(id TermID) []TermID {
 	if p := n.ancList[id].Load(); p != nil {
 		return *p
 	}
-	out := []TermID{}
-	for _, t := range n.topo {
-		if t != id && n.ancestors[id].has(int(t)) {
-			out = append(out, t)
-		}
-	}
-	out = out[:len(out):len(out)]
+	anc := n.ancestors[id]
+	out := anc.appendMembers(make([]TermID, 0, anc.count()))
+	n.sortByRank(out)
 	// Concurrent computations produce identical lists, so a lost race just
 	// publishes an equal slice.
 	n.ancList[id].Store(&out)
 	return out
+}
+
+// sortByRank puts ids into topological order.
+func (n *namespace) sortByRank(ids []TermID) {
+	sort.Slice(ids, func(i, j int) bool { return n.rank[ids[i]] < n.rank[ids[j]] })
 }
 
 func sortIDs(ids []TermID) {
@@ -385,21 +394,30 @@ func descendants(n *namespace, id TermID) []TermID {
 	if p := n.descList[id].Load(); p != nil {
 		return *p
 	}
-	out := []TermID{}
-	for _, t := range n.topo {
-		if t == id || n.ancestors[t].has(int(id)) {
-			out = append(out, t)
+	// Collect the cone by walking children edges from id, so the cost
+	// follows the cone's size, then put it into topological order.
+	seen := newBitset(len(n.names))
+	seen.set(int(id))
+	out := []TermID{id}
+	for i := 0; i < len(out); i++ {
+		for _, c := range n.children[out[i]] {
+			if !seen.has(int(c)) {
+				seen.set(int(c))
+				out = append(out, c)
+			}
 		}
 	}
+	n.sortByRank(out)
 	out = out[:len(out):len(out)]
 	n.descList[id].Store(&out)
 	return out
 }
 
 // ElementAncestors returns every strict generalization of id in topological
-// general-first order. The result is memoized and shared: callers may read
-// it or append to it (Go reallocates — the list is stored capacity-capped)
-// but must not write its elements in place.
+// general-first order. The result is memoized and shared: callers read it in
+// place (semantic matching walks it, then id itself, without building a
+// list) and must not write its elements; an append reallocates, since the
+// list is stored capacity-capped.
 func (v *Vocabulary) ElementAncestors(id TermID) []TermID {
 	n := v.elems
 	if !n.valid(id) {

@@ -2,6 +2,7 @@ package vocab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -235,28 +236,35 @@ func TestNameLookups(t *testing.T) {
 // randomDAGVocab builds a random layered DAG for property testing.
 func randomDAGVocab(rng *rand.Rand, layers, perLayer int) (*Vocabulary, []TermID) {
 	v := New()
+	all := randomDAG(rng, layers, perLayer, v.MustElement, v.OrderElements)
+	if err := v.Freeze(); err != nil {
+		panic(err)
+	}
+	return v, all
+}
+
+// randomDAG declares a layered random DAG in one namespace through its add
+// and order functions and returns the terms in declaration order.
+func randomDAG(rng *rand.Rand, layers, perLayer int, add func(string) TermID, order func(general, specific TermID) error) []TermID {
 	var all []TermID
 	var prev []TermID
 	for l := 0; l < layers; l++ {
 		var cur []TermID
 		for i := 0; i < perLayer; i++ {
-			id := v.MustElement(termName(l, i))
+			id := add(termName(l, i))
 			cur = append(cur, id)
 			all = append(all, id)
 			if l > 0 {
 				// each node gets 1-2 random parents from the previous layer
 				np := 1 + rng.Intn(2)
 				for p := 0; p < np; p++ {
-					_ = v.OrderElements(prev[rng.Intn(len(prev))], id)
+					_ = order(prev[rng.Intn(len(prev))], id)
 				}
 			}
 		}
 		prev = cur
 	}
-	if err := v.Freeze(); err != nil {
-		panic(err)
-	}
-	return v, all
+	return all
 }
 
 func termName(l, i int) string {
@@ -358,5 +366,58 @@ func TestRelationDepth(t *testing.T) {
 	}
 	if got := v.RelationDepth(v.Relation("inside")); got != 1 {
 		t.Errorf("Depth(inside) = %d, want 1", got)
+	}
+}
+
+// oracleAncestors and oracleDescendants are the topo-scan definitions the
+// memoized lists must reproduce: filter the whole topological order through
+// the ancestor bitsets.
+func oracleAncestors(n *namespace, id TermID) []TermID {
+	out := []TermID{}
+	for _, t := range n.topo {
+		if t != id && n.ancestors[id].has(int(t)) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+func oracleDescendants(n *namespace, id TermID) []TermID {
+	out := []TermID{}
+	for _, t := range n.topo {
+		if t == id || n.ancestors[t].has(int(id)) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TestPropertyMemoListsMatchTopoScan checks, over random DAGs in both
+// namespaces, that the memoized lists (filled from the ancestor bitsets and
+// the children edges, then sorted by topological rank) equal the topo-scan
+// oracles element for element, in order. Declaration order and topological
+// order differ within a layer here, so a list sorted by ID would fail.
+func TestPropertyMemoListsMatchTopoScan(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		v := New()
+		elems := randomDAG(rng, 2+rng.Intn(5), 5+rng.Intn(30), v.MustElement, v.OrderElements)
+		rels := randomDAG(rng, 2+rng.Intn(5), 5+rng.Intn(30), v.MustRelation, v.OrderRelations)
+		if err := v.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range elems {
+			if got, want := v.ElementAncestors(id), oracleAncestors(v.elems, id); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: ElementAncestors(%d) = %v, want %v", seed, id, got, want)
+			}
+			if got, want := v.ElementDescendants(id), oracleDescendants(v.elems, id); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: ElementDescendants(%d) = %v, want %v", seed, id, got, want)
+			}
+		}
+		for _, id := range rels {
+			if got, want := v.RelationDescendants(id), oracleDescendants(v.rels, id); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: RelationDescendants(%d) = %v, want %v", seed, id, got, want)
+			}
+		}
 	}
 }
