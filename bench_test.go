@@ -6,7 +6,6 @@
 package oassis_test
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -313,87 +312,4 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(questions)/b.Elapsed().Seconds(), "questions/s")
 	b.ReportMetric(float64(ms.Mallocs-startMallocs)/float64(questions), "allocs/question")
-}
-
-// BenchmarkEngineThroughputParallel measures the same oracle-crowd workload
-// on a crowd large enough for the sharded round selection to matter
-// (64 members), serial vs 8 selection workers. The differential suite
-// (TestParallelSelection*) pins both modes byte-identical, so the only
-// thing allowed to differ here is wall clock. On a single-core runner the
-// 8-worker mode is expected to track the serial mode within noise; the
-// speedup claim needs a multi-core runner.
-func BenchmarkEngineThroughputParallel(b *testing.B) {
-	d, err := synth.NewDAG(synth.DAGConfig{
-		Width: 60, Depth: 4, MSPPercent: 0.05, Places: 3, Seed: 11,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	theta := d.Query.Satisfying.Support
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			questions := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pool := make([]crowd.Member, 64)
-				for j := range pool {
-					pool[j] = namedOracle{Member: d.Oracle(0, int64(j+1)), id: fmt.Sprintf("m%02d", j)}
-				}
-				res := core.NewEngine(d.Space, pool, core.EngineConfig{
-					Theta:               theta,
-					Aggregator:          crowd.NewMeanAggregator(5, theta),
-					SpecializationRatio: 0.15,
-					Seed:                7,
-					SelectionWorkers:    workers,
-				}).Run()
-				if res.Stats.Questions == 0 {
-					b.Fatal("engine asked no questions")
-				}
-				questions += res.Stats.Questions
-			}
-			b.ReportMetric(float64(questions)/b.Elapsed().Seconds(), "questions/s")
-		})
-	}
-}
-
-// BenchmarkRoundSelection isolates the per-round selection cost the
-// sharded kernel attacks: a 1000-member crowd over a deep DAG, where most
-// members' turns end in a full no-op traversal (everything reachable is
-// already covered in flight), so beginRound dominates the run. A small
-// per-member question cap bounds each iteration without changing the
-// per-round selection work.
-func BenchmarkRoundSelection(b *testing.B) {
-	d, err := synth.NewDAG(synth.DAGConfig{
-		Width: 80, Depth: 6, MSPPercent: 0.04, Places: 2, Seed: 13,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	theta := d.Query.Satisfying.Support
-	const crowdSize = 1000
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			selections := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pool := make([]crowd.Member, crowdSize)
-				for j := range pool {
-					pool[j] = namedOracle{Member: d.Oracle(0, int64(j+1)), id: fmt.Sprintf("m%03d", j)}
-				}
-				res := core.NewEngine(d.Space, pool, core.EngineConfig{
-					Theta:                 theta,
-					Aggregator:            crowd.NewMeanAggregator(3, theta),
-					SpecializationRatio:   0.15,
-					MaxQuestionsPerMember: 4,
-					Seed:                  7,
-					SelectionWorkers:      workers,
-				}).Run()
-				if res.Stats.Rounds == 0 {
-					b.Fatal("engine ran no rounds")
-				}
-				selections += res.Stats.Rounds * crowdSize
-			}
-			b.ReportMetric(float64(selections)/b.Elapsed().Seconds(), "memberselects/s")
-		})
-	}
 }

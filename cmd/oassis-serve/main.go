@@ -42,7 +42,6 @@ func main() {
 		seed         = flag.Int64("seed", 1, "random seed")
 		metrics      = flag.Bool("metrics", false, "serve Prometheus metrics on GET /metrics")
 		pprofFlag    = flag.Bool("pprof", false, "serve runtime profiles on /debug/pprof (off by default: profiles expose heap contents)")
-		selWorkers   = flag.Int("selection-workers", 0, "shard per-round question selection across this many goroutines (0/1 = serial kernel; results are byte-identical either way)")
 		sharedStore  = flag.Bool("shared-store", false, "share a cross-query answer store: repeated questions are served from cached crowd answers instead of re-asked, across every run this process serves")
 		storeTTL     = flag.Duration("store-ttl", 0, "shared-store answer freshness window; stale answers are re-asked (0 = answers never expire)")
 		storeMax     = flag.Int("store-max", 0, "shared-store size bound with LRU eviction (0 = unbounded)")
@@ -56,7 +55,7 @@ func main() {
 	}
 	cfg := serveConfig{
 		minMembers: *minMembers, k: *k, timeout: *timeout, seed: *seed,
-		metrics: *metrics, pprof: *pprofFlag, selWorkers: *selWorkers,
+		metrics: *metrics, pprof: *pprofFlag,
 		sharedStore: *sharedStore, storeTTL: *storeTTL, storeMax: *storeMax,
 		journal: *journalPath, scorecards: *scorecards,
 	}
@@ -74,7 +73,6 @@ type serveConfig struct {
 	seed        int64
 	metrics     bool
 	pprof       bool
-	selWorkers  int
 	sharedStore bool
 	storeTTL    time.Duration
 	storeMax    int
@@ -148,9 +146,6 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 		// in-process RunCrowd/RunParallel drivers and is not needed here.
 		opts := []oassis.Option{
 			oassis.WithSeed(cfg.seed),
-		}
-		if cfg.selWorkers > 1 {
-			opts = append(opts, oassis.WithSelectionWorkers(cfg.selWorkers))
 		}
 		if o != nil {
 			opts = append(opts, oassis.WithObserver(o))

@@ -174,66 +174,6 @@ func (c *Classifier) MarkInsignificant(a *Assignment) {
 	c.entry(a.id).status = Insignificant
 }
 
-// MarkCounts returns the lengths of the significant and insignificant mark
-// logs. Marks are append-only, so two equal snapshots bracket a window in
-// which no assignment's status can have changed — the kernel's speculative
-// selection uses this to skip per-read revalidation on quiet rounds.
-func (c *Classifier) MarkCounts() (sig, insig int) {
-	return len(c.sigLog), len(c.insigLog)
-}
-
-// StatusRO classifies the assignment like Status but never mutates the
-// classifier: the dense memo table, the log cursors and the shared Leq memo
-// are read, not written. That makes it safe for any number of concurrent
-// callers while no Mark* call is executing — the contract under which the
-// mining kernel's selection workers read a frozen round-start classifier.
-//
-// Order relations the shared memo has not seen are recomputed; memo, when
-// non-nil, is a caller-owned scratch cache for those misses (each worker
-// passes its own, so repeated traversals stay cheap without any write to
-// shared state). A cached-Unknown node still resumes from its stored log
-// cursors, so StatusRO costs no more than Status on the same node.
-func (c *Classifier) StatusRO(a *Assignment, memo map[uint64]bool) Status {
-	a = c.space.Canon(a)
-	var e statusEntry
-	if int(a.id) < len(c.entries) {
-		e = c.entries[a.id]
-	}
-	if e.status != Unknown {
-		return e.status
-	}
-	for i := int(e.insigIdx); i < len(c.insigLog); i++ {
-		if c.leqRO(c.insigLog[i], a, memo) {
-			return Insignificant
-		}
-	}
-	for i := int(e.sigIdx); i < len(c.sigLog); i++ {
-		if c.leqRO(a, c.sigLog[i], memo) {
-			return Significant
-		}
-	}
-	return Unknown
-}
-
-// leqRO is leq without the shared-memo write: misses land in the caller's
-// scratch memo (when given) instead.
-func (c *Classifier) leqRO(a, b *Assignment, memo map[uint64]bool) bool {
-	k := uint64(a.id)<<32 | uint64(b.id)
-	if v, ok := c.leqMemo[k]; ok {
-		return v
-	}
-	if memo != nil {
-		if v, ok := memo[k]; ok {
-			return v
-		}
-	}
-	v := c.space.Leq(a, b)
-	if memo != nil {
-		memo[k] = v
-	}
-	return v
-}
-
 // SignificantBorder returns the current antichain of maximal significant
 // assignments (shared slice; do not modify). When the traversal has
 // classified the whole space these are exactly the MSPs among the explored

@@ -9,6 +9,14 @@ import (
 	"oassis/internal/synth"
 )
 
+// selOracle gives clones of a DAG's ground-truth oracle distinct IDs.
+type selOracle struct {
+	crowd.Member
+	id string
+}
+
+func (o selOracle) ID() string { return o.id }
+
 // BenchmarkWideBorderConfirmations regression-guards the witness-based
 // MSP-confirmation tracking. The old settle path rescanned the entire
 // significant border after every insignificant mark — O(border ×

@@ -62,16 +62,6 @@ type EngineConfig struct {
 	// RecordTranscript collects a per-member interview log into
 	// Result.Transcripts, for differential testing across drivers.
 	RecordTranscript bool
-	// SelectionWorkers shards the kernel's per-round question selection
-	// (and, for full-mining runs, the reply fold) across this many worker
-	// goroutines. Results are byte-identical to the serial kernel: workers
-	// only speculate against frozen round-start state, and a serial commit
-	// re-validates every proposal in member order, re-selecting serially
-	// on any conflict (see kernel_parallel.go). 0 or 1 selects serially.
-	// Ignored — with a silent serial fallback — when the aggregator does
-	// not implement both crowd.QuotaCarrier and crowd.ReadSnapshotter,
-	// whose contracts the speculation safety argument depends on.
-	SelectionWorkers int
 	// Obs, when set, receives kernel metrics, per-round trace spans and
 	// (for Run/RunParallel) broker metrics. Nil disables observability:
 	// the kernel pays one nil check per event, nothing more.
@@ -197,7 +187,10 @@ func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 		sort.Slice(replies, func(i, j int) bool {
 			return replies[i].Ask.ID < replies[j].Ask.ID
 		})
-		e.k.applyAll(replies)
+		for _, r := range replies {
+			e.k.apply(r)
+			km.InFlight.Add(-1)
+		}
 		km.Replies.Add(int64(len(replies)))
 		km.InFlight.Set(0)
 		if observed {

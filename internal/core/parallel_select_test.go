@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -17,23 +19,14 @@ import (
 	"oassis/internal/synth"
 )
 
-// The tests in this file pin the tentpole invariant of the parallel
-// round-selection refactor: EngineConfig.SelectionWorkers shards the
-// per-round question selection (and the reply fold at the round barrier)
-// across goroutines, yet every externally visible output of a run — the
-// MSP sets, the per-member transcripts, the aggregated supports and the
-// entire Stats block — must be byte-identical to the serial kernel's.
-// Identity, not statistical similarity: the speculative workers must leave
-// the kernel's random stream, visit order and settle order exactly as the
-// serial loop would have.
-
-// selOracle gives clones of a DAG's ground-truth oracle distinct IDs.
-type selOracle struct {
-	crowd.Member
-	id string
-}
-
-func (o selOracle) ID() string { return o.id }
+// The tests in this file pin the serial selection kernel's output. Their
+// scenario table once served to compare a sharded, speculative round
+// selection against the serial kernel; that path is gone, and the table
+// now checks that the serial kernel still reproduces, bit for bit, the
+// output it produced when that comparison last passed. Each scenario's
+// fingerprint — MSP sets, per-member transcripts, aggregated supports and
+// the entire Stats block — is reduced to a digest and compared with the
+// recorded one in selectionDigests.
 
 // selFingerprint is everything a caller can observe about a finished run.
 type selFingerprint struct {
@@ -63,6 +56,15 @@ func fingerprint(res *core.Result) selFingerprint {
 	}
 }
 
+// digest hashes a fingerprint. fmt prints maps in sorted key order and
+// floats in their shortest exact form, so equal fingerprints give equal
+// digests on every platform.
+func (f selFingerprint) digest() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%v\x00%v\x00%+v", f.msps, f.valid, f.sig, f.supports, f.transcripts, f.stats)
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
 // diffFingerprints reports the first component where two fingerprints
 // disagree, for readable failure messages.
 func diffFingerprints(a, b selFingerprint) string {
@@ -81,6 +83,20 @@ func diffFingerprints(a, b selFingerprint) string {
 		return fmt.Sprintf("stats differ:\n%+v\nvs\n%+v", a.stats, b.stats)
 	default:
 		return ""
+	}
+}
+
+// checkDigest fails t unless fp matches the digest recorded for name.
+func checkDigest(t *testing.T, name string, fp selFingerprint) {
+	t.Helper()
+	got := fp.digest()
+	want, ok := selectionDigests[name]
+	if !ok {
+		t.Fatalf("no recorded digest for %s: got %s", name, got)
+	}
+	if got != want {
+		t.Fatalf("serial selection output changed for %s: digest %s, recorded %s\nMSPs:\n%s\nstats: %+v",
+			name, got, want, fp.msps, fp.stats)
 	}
 }
 
@@ -105,8 +121,8 @@ func selDAG(t *testing.T, cfg synth.DAGConfig) *synth.DAG {
 // scenario combinations — DAG shapes, crowd sizes, aggregator families,
 // specialization ratios, pruning oracles, spammers with the consistency
 // filter, per-member question caps and top-k stops — and for each one
-// requires the 1-, 2- and 8-worker engines to reproduce the serial
-// engine's output bit for bit.
+// requires the serial engine to reproduce its recorded output bit for
+// bit, and to do so again on a second run.
 func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 	dags := []synth.DAGConfig{
 		{Width: 12, Depth: 3, MSPPercent: 0.10, Places: 2, Seed: 3},
@@ -153,7 +169,7 @@ func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 		theta := d.Query.Satisfying.Support
 		name := fmt.Sprintf("%03d-%s-m%d-w%dd%d", i, agg.name, members, dagCfg.Width, dagCfg.Depth)
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int) *core.Result {
+			run := func() *core.Result {
 				pool := make([]crowd.Member, members)
 				for m := range pool {
 					pool[m] = selOracle{Member: d.Oracle(prune, int64(m+1)), id: fmt.Sprintf("m%d", m)}
@@ -170,7 +186,6 @@ func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 					MaxMSPs:               topk,
 					Seed:                  seed,
 					RecordTranscript:      true,
-					SelectionWorkers:      workers,
 				}
 				if consist {
 					cfg.Consistency = true
@@ -178,13 +193,12 @@ func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 				}
 				return core.NewEngine(d.Space, pool, cfg).Run()
 			}
-			ref := fingerprint(run(0))
+			ref := fingerprint(run())
 			totalMSPs += len(strings.Split(ref.msps, "\n"))
 			totalQuestions += ref.stats.Questions
-			for _, w := range []int{1, 2, 8} {
-				if got := fingerprint(run(w)); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("workers=%d diverged from serial: %s", w, diffFingerprints(got, ref))
-				}
+			checkDigest(t, name, ref)
+			if got := fingerprint(run()); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("second run diverged: %s", diffFingerprints(got, ref))
 			}
 		})
 	}
@@ -197,10 +211,10 @@ func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 // TestParallelSelectionChaosVirtualClock replays a fault-injected crowd —
 // fixed think times, one chronic straggler who exceeds the answer
 // deadline until dropped, and two mid-run departures — on a virtual clock,
-// and requires the sharded engines to reproduce the serial run exactly,
+// and requires the serial engine to reproduce its recorded run exactly,
 // including the timeout/departure bookkeeping in Stats.
 func TestParallelSelectionChaosVirtualClock(t *testing.T) {
-	run := func(workers int) *core.Result {
+	run := func() *core.Result {
 		sp, v := buildSpace(t, paperdata.SimpleQueryText, nil)
 		clock := chaos.NewVirtualClock()
 		faults := make([]chaos.Faults, 8)
@@ -218,25 +232,23 @@ func TestParallelSelectionChaosVirtualClock(t *testing.T) {
 			AnswerDeadline:   time.Minute,
 			Clock:            clock,
 			RecordTranscript: true,
-			SelectionWorkers: workers,
 		}).Run()
 	}
-	ref := fingerprint(run(0))
+	ref := fingerprint(run())
 	if ref.stats.Departures == 0 {
 		t.Fatal("chaos scenario exercised no departures")
 	}
 	if ref.stats.TimedOut == 0 {
 		t.Fatal("chaos scenario exercised no answer timeouts")
 	}
-	for _, w := range []int{2, 8} {
-		if got := fingerprint(run(w)); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d diverged from serial under chaos: %s", w, diffFingerprints(got, ref))
-		}
+	checkDigest(t, "chaos", ref)
+	if got := fingerprint(run()); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("second run diverged under chaos: %s", diffFingerprints(got, ref))
 	}
 }
 
-// opaqueAgg hides an aggregator's ReadSnapshotter extension, forcing the
-// kernel's serial fallback.
+// opaqueAgg hides every method of an aggregator beyond the
+// crowd.Aggregator interface and Quota.
 type opaqueAgg struct{ inner crowd.Aggregator }
 
 func (o opaqueAgg) Add(id assign.NodeID, m string, s float64) { o.inner.Add(id, m, s) }
@@ -247,14 +259,14 @@ func (o opaqueAgg) Quota() int {
 	return o.inner.(interface{ Quota() int }).Quota()
 }
 
-// TestParallelSelectionFallbackGates: an aggregator that does not promise
-// snapshot-read safety must silently disable speculative selection, and
-// the result must still match the serial run (because the fallback IS the
-// serial path).
+// TestParallelSelectionFallbackGates: the kernel must not depend on an
+// aggregator's concrete type. A run through an aggregator that exposes
+// only the crowd.Aggregator interface must reproduce the run through the
+// bare aggregator, and both the recorded output.
 func TestParallelSelectionFallbackGates(t *testing.T) {
 	d := selDAG(t, synth.DAGConfig{Width: 12, Depth: 3, MSPPercent: 0.10, Places: 2, Seed: 3})
 	theta := d.Query.Satisfying.Support
-	run := func(workers int, wrap bool) *core.Result {
+	run := func(wrap bool) *core.Result {
 		pool := make([]crowd.Member, 4)
 		for m := range pool {
 			pool[m] = selOracle{Member: d.Oracle(0, int64(m+1)), id: fmt.Sprintf("m%d", m)}
@@ -269,13 +281,126 @@ func TestParallelSelectionFallbackGates(t *testing.T) {
 			SpecializationRatio: 0.15,
 			Seed:                11,
 			RecordTranscript:    true,
-			SelectionWorkers:    workers,
 		}).Run()
 	}
-	ref := fingerprint(run(0, false))
-	for _, wrap := range []bool{false, true} {
-		if got := fingerprint(run(8, wrap)); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("wrap=%v diverged from serial: %s", wrap, diffFingerprints(got, ref))
-		}
+	ref := fingerprint(run(false))
+	checkDigest(t, "fallback", ref)
+	if got := fingerprint(run(true)); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("opaque aggregator diverged from the bare one: %s", diffFingerprints(got, ref))
 	}
+}
+
+// selectionDigests holds each scenario's fingerprint digest as recorded
+// from the serial kernel.
+var selectionDigests = map[string]string{
+	"000-mean-m2-w12d3":     "1d3a89c10e4ba9fd",
+	"001-mean-m2-w18d3":     "fbdd23c0e5077525",
+	"002-mean-m2-w24d4":     "0aa56134e458e1d5",
+	"003-majority-m2-w12d3": "eefde53c2ed0b5a0",
+	"004-majority-m2-w18d3": "76bb61a3cfe9002f",
+	"005-majority-m2-w24d4": "322d01169d8b730d",
+	"006-trust-m2-w12d3":    "b76a05bb10de17c7",
+	"007-trust-m2-w18d3":    "82389e1422dcd236",
+	"008-trust-m2-w24d4":    "75ea9cd1026a2689",
+	"009-mean-m3-w12d3":     "6e28bc5f2beddb05",
+	"010-mean-m3-w18d3":     "a876d26807d37374",
+	"011-mean-m3-w24d4":     "da8c339b341c3fa2",
+	"012-majority-m3-w12d3": "59d1e0a037a9bf90",
+	"013-majority-m3-w18d3": "dc7fd729cef8f2ad",
+	"014-majority-m3-w24d4": "ee0a4b64096bb937",
+	"015-trust-m3-w12d3":    "3f27301582f726d6",
+	"016-trust-m3-w18d3":    "aed55958c5f6013f",
+	"017-trust-m3-w24d4":    "7964f7d2c207a72d",
+	"018-mean-m5-w12d3":     "1eb9ca24f2637ea9",
+	"019-mean-m5-w18d3":     "aee48a94cc985d0c",
+	"020-mean-m5-w24d4":     "1f25f58d21a3170e",
+	"021-majority-m5-w12d3": "396d93e835b7f4ff",
+	"022-majority-m5-w18d3": "a0ded9f72c56890d",
+	"023-majority-m5-w24d4": "21df3bd56d4bcb72",
+	"024-trust-m5-w12d3":    "29c215412703140a",
+	"025-trust-m5-w18d3":    "5d0673851596a659",
+	"026-trust-m5-w24d4":    "0deb344c7ca12b3e",
+	"027-mean-m9-w12d3":     "5343cc63376093e6",
+	"028-mean-m9-w18d3":     "8ff9dc80f5f791f2",
+	"029-mean-m9-w24d4":     "013fd094ea7b19f5",
+	"030-majority-m9-w12d3": "36f44c619b7b9526",
+	"031-majority-m9-w18d3": "1f9634e52ce05b0b",
+	"032-majority-m9-w24d4": "048eefd95191d758",
+	"033-trust-m9-w12d3":    "de43b8a6af46e889",
+	"034-trust-m9-w18d3":    "071771bc74bc0a34",
+	"035-trust-m9-w24d4":    "3e920b1af5c88003",
+	"036-mean-m2-w12d3":     "633076685dd58aca",
+	"037-mean-m2-w18d3":     "9ffa3a2dbad1c860",
+	"038-mean-m2-w24d4":     "7458122553243f95",
+	"039-majority-m2-w12d3": "633076685dd58aca",
+	"040-majority-m2-w18d3": "7d2645024c9cd58c",
+	"041-majority-m2-w24d4": "7cb7c74b45ddc8da",
+	"042-trust-m2-w12d3":    "eefde53c2ed0b5a0",
+	"043-trust-m2-w18d3":    "4cd80d616e60d824",
+	"044-trust-m2-w24d4":    "27d42a4ab4d89b5e",
+	"045-mean-m3-w12d3":     "c5a03255db89834e",
+	"046-mean-m3-w18d3":     "97a8dad28d059de7",
+	"047-mean-m3-w24d4":     "fcbda3fe1aaf52cd",
+	"048-majority-m3-w12d3": "737f3a09ed7677f7",
+	"049-majority-m3-w18d3": "f77ffe2d9fd6b020",
+	"050-majority-m3-w24d4": "da42983f9cf46610",
+	"051-trust-m3-w12d3":    "393e26ad5151e3a6",
+	"052-trust-m3-w18d3":    "1e6c4d07028a2e13",
+	"053-trust-m3-w24d4":    "fb2cb5eaff990f6c",
+	"054-mean-m5-w12d3":     "b60567581af63827",
+	"055-mean-m5-w18d3":     "b53f266a4d5e48c8",
+	"056-mean-m5-w24d4":     "91ea0a1b3ceb1d14",
+	"057-majority-m5-w12d3": "17246b131301b437",
+	"058-majority-m5-w18d3": "6eaf2aace2b280dc",
+	"059-majority-m5-w24d4": "a6b1a69205ae8357",
+	"060-trust-m5-w12d3":    "118dbc24d6de9cd6",
+	"061-trust-m5-w18d3":    "5da75885159fe18e",
+	"062-trust-m5-w24d4":    "d746b2e3b2799675",
+	"063-mean-m9-w12d3":     "9e894f407542470f",
+	"064-mean-m9-w18d3":     "72672bc27d6aba1c",
+	"065-mean-m9-w24d4":     "f35853d358a30c34",
+	"066-majority-m9-w12d3": "173679f88444f507",
+	"067-majority-m9-w18d3": "98fb6f1f238eaf2e",
+	"068-majority-m9-w24d4": "24237e919ccce71f",
+	"069-trust-m9-w12d3":    "8b3613c15afeb93b",
+	"070-trust-m9-w18d3":    "887934bb5ba72823",
+	"071-trust-m9-w24d4":    "6caac2e0597c493e",
+	"072-mean-m2-w12d3":     "328f4402ec46b80f",
+	"073-mean-m2-w18d3":     "b66fd62b163a3b71",
+	"074-mean-m2-w24d4":     "3c299e65e7bce0a1",
+	"075-majority-m2-w12d3": "9545310b5a9ad837",
+	"076-majority-m2-w18d3": "3f378150c46e4919",
+	"077-majority-m2-w24d4": "3c299e65e7bce0a1",
+	"078-trust-m2-w12d3":    "305bff68fe0d9a4f",
+	"079-trust-m2-w18d3":    "aa0209b4a9b778c3",
+	"080-trust-m2-w24d4":    "6372c7a49226e9a1",
+	"081-mean-m3-w12d3":     "7c9fd13f061c40a3",
+	"082-mean-m3-w18d3":     "9c78b39fede4e244",
+	"083-mean-m3-w24d4":     "43a310fb62b9af9e",
+	"084-majority-m3-w12d3": "7bebecec8781e522",
+	"085-majority-m3-w18d3": "2f405860bb5b4a92",
+	"086-majority-m3-w24d4": "a4d77e061df48cad",
+	"087-trust-m3-w12d3":    "85b41582188fce34",
+	"088-trust-m3-w18d3":    "a58362094858b265",
+	"089-trust-m3-w24d4":    "0f6ecc62ad733041",
+	"090-mean-m5-w12d3":     "305c9e3d17b647a7",
+	"091-mean-m5-w18d3":     "a0ded9f72c56890d",
+	"092-mean-m5-w24d4":     "ce7851d78c7e4dfc",
+	"093-majority-m5-w12d3": "016b63e3633d6bcd",
+	"094-majority-m5-w18d3": "7a45441b3e480855",
+	"095-majority-m5-w24d4": "ad15c77f2dd71887",
+	"096-trust-m5-w12d3":    "32171de38fd6dfc7",
+	"097-trust-m5-w18d3":    "7a45441b3e480855",
+	"098-trust-m5-w24d4":    "a0537b1fed4a0fce",
+	"099-mean-m9-w12d3":     "c87632d5ff500e8a",
+	"100-mean-m9-w18d3":     "0b141134a71bebb7",
+	"101-mean-m9-w24d4":     "f346dc24a5bc4660",
+	"102-majority-m9-w12d3": "14382af31f28cceb",
+	"103-majority-m9-w18d3": "8fddbcc5b234aa39",
+	"104-majority-m9-w24d4": "013fd094ea7b19f5",
+	"105-trust-m9-w12d3":    "08719f073d7f3405",
+	"106-trust-m9-w18d3":    "89cadfa0f5a343b7",
+	"107-trust-m9-w24d4":    "3e920b1af5c88003",
+	"chaos":                 "f264574118b8f7f2",
+	"fallback":              "36cc2459f7c002d5",
 }

@@ -296,45 +296,3 @@ func (m *MajorityAggregator) Quota() int { return m.K }
 
 // Quota implements QuotaCarrier.
 func (t *TrustWeightedAggregator) Quota() int { return t.K }
-
-// ReadSnapshotter is an optional Aggregator extension for engines that
-// speculate question selection concurrently. AnswersReader returns a
-// read-only view of Answers that is safe to call from multiple goroutines
-// as long as no Add/SetTrust/Reset executes concurrently (the kernel only
-// reads it while its selection workers run against frozen round-start
-// state).
-//
-// Implementing this interface is also a safety promise the speculative
-// kernel relies on: adding a single answer to an assignment whose current
-// Answers count is at most Quota()-2 must leave Decide Undecided. All
-// quota-based aggregators satisfy this trivially (a decision needs
-// Quota() answers); an aggregator that can decide early must not
-// implement ReadSnapshotter, which makes the kernel fall back to fully
-// serial selection.
-type ReadSnapshotter interface {
-	AnswersReader() func(id assign.NodeID) int
-}
-
-// AnswersReader implements ReadSnapshotter.
-func (m *MeanAggregator) AnswersReader() func(assign.NodeID) int {
-	return func(id assign.NodeID) int { return len(m.answers[id]) }
-}
-
-// AnswersReader implements ReadSnapshotter.
-func (m *MajorityAggregator) AnswersReader() func(assign.NodeID) int {
-	return func(id assign.NodeID) int { return len(m.votes[id]) }
-}
-
-// AnswersReader implements ReadSnapshotter. Like Answers, only trusted
-// answers count.
-func (t *TrustWeightedAggregator) AnswersReader() func(assign.NodeID) int {
-	return func(id assign.NodeID) int {
-		n := 0
-		for _, a := range t.answers[id] {
-			if t.trust(a.member) > 0 {
-				n++
-			}
-		}
-		return n
-	}
-}

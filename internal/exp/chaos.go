@@ -69,12 +69,11 @@ func ChaosResilience(dagCfg synth.DAGConfig, members int, rates []float64, seed 
 		theta := d.Query.Satisfying.Support
 		mine := span("mine")
 		res := core.NewEngine(d.Space, pool, core.EngineConfig{
-			Theta:            theta,
-			Aggregator:       crowd.NewMeanAggregator(3, theta),
-			Seed:             seed,
-			Clock:            clock,
-			SelectionWorkers: selWorkers,
-			Obs:              obsv,
+			Theta:      theta,
+			Aggregator: crowd.NewMeanAggregator(3, theta),
+			Seed:       seed,
+			Clock:      clock,
+			Obs:        obsv,
 		}).Run()
 		mine(obs.Attr{Key: "depart_pct", Val: int64(100 * rate)},
 			obs.Attr{Key: "questions", Val: int64(res.Stats.Questions)})

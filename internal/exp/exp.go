@@ -29,15 +29,6 @@ var obsv *obs.Observer
 // each figure so its spans group under the figure in traces and summaries.
 func SetObserver(o *obs.Observer) { obsv = o }
 
-// selWorkers is the SelectionWorkers knob applied to every engine this
-// package builds; 0 (the default) keeps the serial kernel.
-var selWorkers int
-
-// SetSelectionWorkers shards per-round question selection of all subsequent
-// experiment engines across n workers (0 or 1 = serial kernel). Results are
-// byte-identical either way; only wall-clock changes.
-func SetSelectionWorkers(n int) { selWorkers = n }
-
 // span opens one harness stage: it returns a func that records the elapsed
 // wall-clock span, with any end-time attributes, when called. No-op without
 // an observer.
@@ -113,7 +104,6 @@ func CrowdStats(cfg synth.DomainConfig, thetas []float64, seed int64) (*CrowdSta
 			Aggregator:          crowd.NewMeanAggregator(aggK, theta),
 			SpecializationRatio: 0.12,
 			Seed:                seed,
-			SelectionWorkers:    selWorkers,
 			Obs:                 obsv,
 		})
 		r := eng.Run()
@@ -176,7 +166,6 @@ func Pace(cfg synth.DomainConfig, theta float64, seed int64) (*PaceResult, error
 		Aggregator:          crowd.NewMeanAggregator(aggK, theta),
 		SpecializationRatio: 0.12,
 		Seed:                seed,
-		SelectionWorkers:    selWorkers,
 		Obs:                 obsv,
 	})
 	r := eng.Run()

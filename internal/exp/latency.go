@@ -69,11 +69,10 @@ func CrowdGrowth(cfg synth.DomainConfig, sizes []int, model LatencyModel, seed i
 		theta := d.Query.Satisfying.Support
 		firstMSPAt := -1
 		eng := core.NewEngine(d.Space, d.Members, core.EngineConfig{
-			Theta:            theta,
-			Aggregator:       crowd.NewMeanAggregator(aggK, theta),
-			Seed:             seed,
-			SelectionWorkers: selWorkers,
-			Obs:              obsv,
+			Theta:      theta,
+			Aggregator: crowd.NewMeanAggregator(aggK, theta),
+			Seed:       seed,
+			Obs:        obsv,
 		})
 		res := eng.Run()
 		for _, p := range res.Stats.Progress {

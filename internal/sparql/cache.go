@@ -154,16 +154,15 @@ func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
 	key, names := shapeKey(bgp, e.Semantic)
 	if v, ok := c.entries.Load(key); ok {
 		c.hits.Add(1)
-		e.LastCompileCacheHit = true
 		e.Metrics.CacheHit()
 		pl := v.(*Plan).rebind(names)
+		pl.cacheHit = true
 		if e.Metrics != nil {
 			pl.Observe(e.Metrics)
 		}
 		return pl, nil
 	}
 	c.misses.Add(1)
-	e.LastCompileCacheHit = false
 	e.Metrics.CacheMiss()
 	pl, err := e.compileTimed(bgp)
 	if err != nil {

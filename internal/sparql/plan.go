@@ -95,6 +95,10 @@ type Plan struct {
 	slotOf map[string]int
 	ops    []op
 
+	// cacheHit records that Compile served this plan from a PlanCache
+	// instead of compiling it.
+	cacheHit bool
+
 	// Observation state (nil/empty when Observe was never called).
 	// actual[i] counts partial rows entering operator i across every Eval;
 	// actual[len(ops)] counts emitted rows (pre-dedup). Per-Eval counting
@@ -104,6 +108,12 @@ type Plan struct {
 	actual  []atomic.Int64
 	evals   atomic.Int64
 }
+
+// CacheHit reports whether Compile served the plan from its PlanCache
+// (false after a miss or when no cache is wired). It lives on the plan, not
+// the evaluator, so concurrent Compiles through one evaluator each see
+// their own outcome.
+func (pl *Plan) CacheHit() bool { return pl.cacheHit }
 
 // Observe enables per-operator cardinality accounting and, when m is
 // non-nil, reports eval totals to the given metric set. Call it right after
@@ -126,7 +136,6 @@ func (e *Evaluator) Compile(bgp BGP) (*Plan, error) {
 	if e.Cache != nil {
 		return e.Cache.lookup(e, bgp)
 	}
-	e.LastCompileCacheHit = false
 	return e.compileTimed(bgp)
 }
 

@@ -201,6 +201,16 @@ func TestPlanCacheRenamedHit(t *testing.T) {
 	if hits < 1 {
 		t.Fatalf("order-preserving renaming missed the cache (hits=%d misses=%d)", hits, misses)
 	}
+	if !pl2.CacheHit() {
+		t.Fatal("plan served from the cache reports CacheHit() = false")
+	}
+	uncached, err := sparql.NewEvaluator(s).Compile(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uncached.CacheHit() {
+		t.Fatal("plan compiled without a cache reports CacheHit() = true")
+	}
 	if !rowsEqual(pl1.Eval().Rows(), pl2.Eval().Rows()) {
 		t.Fatal("renamed plan produces different tuples")
 	}

@@ -345,19 +345,6 @@ func WithParallelism(workers int) Option {
 	return func(s *Session) { s.workers = workers }
 }
 
-// WithSelectionWorkers shards the kernel's per-round question selection
-// (and, for full-mining runs, the reply fold) across n worker goroutines.
-// Unlike WithParallelism — which only concurrently carries questions to
-// members — this parallelizes the mining computation itself, while staying
-// byte-identical to the serial kernel: workers speculate against frozen
-// round-start state and a serial commit re-validates every proposal in
-// member order. 0 or 1 keeps the serial kernel. Aggregators that implement
-// neither crowd.QuotaCarrier nor crowd.ReadSnapshotter silently fall back
-// to serial selection.
-func WithSelectionWorkers(n int) Option {
-	return func(s *Session) { s.selWorkers = n }
-}
-
 // WithOnMSP streams every MSP the moment it is confirmed — the paper's
 // incremental answer delivery ("answers can be returned ... as soon as they
 // are identified").
@@ -488,7 +475,6 @@ type Session struct {
 	consistency    bool
 	semantic       bool
 	workers        int
-	selWorkers     int
 	onMSP          func(*Assignment)
 	clock          Clock
 	answerDeadline time.Duration
@@ -716,7 +702,6 @@ func (s *Session) engineConfig(n int) core.EngineConfig {
 		MaxAnswerTimeouts:     s.maxTimeouts,
 		Clock:                 s.clock,
 		RecordTranscript:      s.transcript,
-		SelectionWorkers:      s.selWorkers,
 		Obs:                   s.obsv,
 	}
 }
