@@ -35,6 +35,10 @@ type Assignment struct {
 	// id is the dense per-space identity assigned by the interner
 	// (noID until interned). Hot paths key on it instead of the string.
 	id NodeID
+	// owner is the interner that assigned id (nil until interned). It is
+	// stored once, after id, so a reader that loads its own interner here
+	// knows the node is canonical without taking the interner's lock.
+	owner atomic.Pointer[interner]
 	// key caches the canonical display string, built lazily on first
 	// Key() call. atomic so concurrent readers may race to compute it:
 	// the computation is deterministic, so any winner is correct.

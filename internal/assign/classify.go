@@ -37,8 +37,8 @@ func (s Status) String() string {
 // Because classifications are final (borders only ever grow), Status
 // memoizes per NodeID in a dense slice: a classified verdict is cached
 // forever and an Unknown verdict only re-examines marks added since the
-// last check. Border comparisons additionally go through a per-pair Leq
-// memo, since border rescans keep re-deriving the same order relations.
+// last check, so each (node, mark) pair is compared at most once and the
+// order checks call Space.Leq directly.
 //
 // A Classifier is not safe for concurrent use; each engine run owns one
 // (the underlying Space, by contrast, is shared).
@@ -58,8 +58,6 @@ type Classifier struct {
 	// entries is indexed by NodeID; the zero entry (Unknown, log cursors
 	// at 0) is the correct initial state for a fresh node.
 	entries []statusEntry
-	// leqMemo caches space.Leq per ordered node pair (a.id<<32 | b.id).
-	leqMemo map[uint64]bool
 	// sigSize tracks len(sig) incrementally so the per-round border gauge
 	// (core.Engine.drive) reads a plain counter instead of touching the
 	// border slice at all.
@@ -74,7 +72,7 @@ type statusEntry struct {
 
 // NewClassifier returns an empty classifier over the space.
 func NewClassifier(s *Space) *Classifier {
-	return &Classifier{space: s, leqMemo: make(map[uint64]bool)}
+	return &Classifier{space: s}
 }
 
 // entry returns the status entry for an interned node, growing the dense
@@ -84,17 +82,6 @@ func (c *Classifier) entry(id NodeID) *statusEntry {
 		c.entries = append(c.entries, statusEntry{})
 	}
 	return &c.entries[id]
-}
-
-// leq memoizes c.space.Leq per ordered pair of interned nodes.
-func (c *Classifier) leq(a, b *Assignment) bool {
-	k := uint64(a.id)<<32 | uint64(b.id)
-	if v, ok := c.leqMemo[k]; ok {
-		return v
-	}
-	v := c.space.Leq(a, b)
-	c.leqMemo[k] = v
-	return v
 }
 
 // Status classifies the assignment against everything marked so far. When
@@ -108,13 +95,13 @@ func (c *Classifier) Status(a *Assignment) Status {
 		return e.status
 	}
 	for ; int(e.insigIdx) < len(c.insigLog); e.insigIdx++ {
-		if c.leq(c.insigLog[e.insigIdx], a) {
+		if c.space.Leq(c.insigLog[e.insigIdx], a) {
 			e.status = Insignificant
 			return e.status
 		}
 	}
 	for ; int(e.sigIdx) < len(c.sigLog); e.sigIdx++ {
-		if c.leq(a, c.sigLog[e.sigIdx]) {
+		if c.space.Leq(a, c.sigLog[e.sigIdx]) {
 			e.status = Significant
 			return e.status
 		}
@@ -131,11 +118,11 @@ func (c *Classifier) MarkSignificant(a *Assignment) {
 	out := c.sig[:0]
 	covered := false
 	for _, b := range c.sig {
-		ab := c.leq(a, b)
+		ab := c.space.Leq(a, b)
 		if ab {
 			covered = true
 		}
-		if !c.leq(b, a) || ab {
+		if !c.space.Leq(b, a) || ab {
 			out = append(out, b)
 		}
 	}
@@ -157,11 +144,11 @@ func (c *Classifier) MarkInsignificant(a *Assignment) {
 	out := c.insig[:0]
 	covered := false
 	for _, b := range c.insig {
-		ba := c.leq(b, a)
+		ba := c.space.Leq(b, a)
 		if ba {
 			covered = true
 		}
-		if !c.leq(a, b) || ba {
+		if !c.space.Leq(a, b) || ba {
 			out = append(out, b)
 		}
 	}

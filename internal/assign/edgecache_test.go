@@ -120,3 +120,57 @@ func TestInterningPointerIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonForeignNodeLeavesOwnerIntact: handing a node of space A to space
+// B's Canon interns a twin in B and leaves the node's ID — and with it A's
+// successor list for the node — exactly as A assigned them.
+func TestCanonForeignNodeLeavesOwnerIntact(t *testing.T) {
+	a, b := randomSpace(t, 41), randomSpace(t, 41)
+	// A fresh B has interned only its valid assignments; walk A to a node
+	// that is not one of them, so B must register the node anew.
+	valid := map[string]bool{}
+	for _, psi := range b.Space.Valid() {
+		valid[psi.Key()] = true
+	}
+	rng := rand.New(rand.NewSource(1))
+	n := randomWalk(a, rng, 4)
+	for i := 0; valid[n.Key()]; i++ {
+		if i == 100 {
+			t.Fatal("no walk left the valid set")
+		}
+		n = randomWalk(a, rng, 4)
+	}
+	id := n.ID()
+	want := append([]*assign.Assignment(nil), a.Space.Successors(n)...)
+
+	before := b.Space.NumNodes()
+	twin := b.Space.Canon(n)
+	if b.Space.NumNodes() != before+1 {
+		t.Fatalf("B.Canon of a node new to B grew B by %d nodes, want 1", b.Space.NumNodes()-before)
+	}
+	if n.ID() != id {
+		t.Fatalf("B.Canon moved the node's ID from %d to %d", id, n.ID())
+	}
+	if err := sameNodes(a.Space.Successors(n), want); err != nil {
+		t.Fatalf("A's successors of %s changed after B.Canon: %v", n.Key(), err)
+	}
+	if a.Space.Canon(n) != n {
+		t.Fatal("the node is no longer canonical in A")
+	}
+	if twin == n || twin.Key() != n.Key() {
+		t.Fatalf("B's twin %p (%s) is not a distinct equal node of %p (%s)", twin, twin.Key(), n, n.Key())
+	}
+	if b.Space.Canon(twin) != twin || b.Space.Canon(n) != twin {
+		t.Fatal("B does not resolve the node and its twin to one canonical node")
+	}
+	var got, wantKeys []string
+	for _, s := range b.Space.Successors(twin) {
+		got = append(got, s.Key())
+	}
+	for _, s := range want {
+		wantKeys = append(wantKeys, s.Key())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(wantKeys) {
+		t.Fatalf("B's successors of the twin %v, A's %v", got, wantKeys)
+	}
+}

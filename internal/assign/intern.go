@@ -30,7 +30,9 @@ const NoID = noID
 // methods); nodes are immutable once published. mu is a RWMutex so the
 // steady-state hit path — an already-interned node whose edge lists are
 // memoized — runs under a shared read lock; only cache fills take the
-// write lock. The stats counters are atomics updated outside any lock.
+// write lock. Every published node carries its owning interner in
+// Assignment.owner, so the canonical check needs no lock at all. The stats
+// counters are atomics updated outside any lock.
 type interner struct {
 	mu sync.RWMutex
 
@@ -65,8 +67,10 @@ func newInterner() *interner {
 }
 
 // intern returns the canonical node equal to a, registering a (and assigning
-// it the next dense ID) when no equal node exists. The caller must hold mu.
-// The second result reports whether a new node was registered.
+// it the next dense ID) when no equal node exists. A node another interner
+// already owns keeps its ID there: this interner registers a shallow copy
+// instead. The caller must hold mu. The second result reports whether a new
+// node was registered.
 func (in *interner) intern(a *Assignment) (*Assignment, bool) {
 	h := a.hash()
 	for _, id := range in.buckets[h] {
@@ -75,20 +79,23 @@ func (in *interner) intern(a *Assignment) (*Assignment, bool) {
 			return in.nodes[id], false
 		}
 	}
+	if a.owner.Load() != nil {
+		a = &Assignment{names: a.names, kinds: a.kinds, vals: a.vals, more: a.more}
+	}
 	id := NodeID(len(in.nodes))
 	a.id = id
+	// Publish the owner tag only after the ID is written: a lock-free
+	// reader that sees the tag then sees the ID too.
+	a.owner.Store(in)
 	in.nodes = append(in.nodes, a)
 	in.buckets[h] = append(in.buckets[h], id)
 	in.internMisses.Add(1)
 	return a, true
 }
 
-// canonical reports whether a is this interner's published node for its ID.
-// Safe under either lock mode: nodes are append-only and immutable.
-func (in *interner) canonical(a *Assignment) bool {
-	id := a.id
-	return id != noID && int(id) < len(in.nodes) && in.nodes[id] == a
-}
+// canonical reports whether a is this interner's published node. It reads
+// only the node's atomic owner tag, so it is safe with or without mu.
+func (in *interner) canonical(a *Assignment) bool { return a.owner.Load() == in }
 
 // grow extends the per-node side tables to cover every interned ID.
 func (in *interner) grow() {

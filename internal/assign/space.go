@@ -1,11 +1,10 @@
 package assign
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"oassis/internal/oassisql"
@@ -56,14 +55,25 @@ type Space struct {
 	morePool ontology.FactSet
 
 	// in is the interner and shared edge/closure/root cache. Its mutex
-	// guards every mutable field below (including coverCache); the
-	// immutable query-derived fields above are read lock-free.
+	// guards every mutable field below; the immutable query-derived fields
+	// above are read lock-free.
 	in *interner
 
-	// coverCache memoizes productCovered: singleton products repeat
-	// heavily across closure checks of related assignments. Guarded by
-	// in.mu.
+	// coverCache memoizes productCovered and agreeCache memoizes
+	// validAgrees: singleton products repeat heavily across closure checks
+	// of related assignments. Both are keyed by productKey over keyBuf.
+	// Guarded by in.mu.
 	coverCache map[string]bool
+	agreeCache map[string]bool
+	keyBuf     []byte
+
+	// cols is the column table of 𝒜valid, built by validColumns on the
+	// first closure check (a space that never mines never builds it) and
+	// immutable afterwards: cols[i][j] is Valid()[j]'s value for the
+	// mining variable vars[i], vocab.NoTerm where it binds none; nil for
+	// an unbound variable, which no valid assignment binds.
+	colsOnce sync.Once
+	cols     [][]vocab.TermID
 }
 
 // NewSpace builds the assignment space for a query from the WHERE clause's
@@ -72,29 +82,10 @@ type Space struct {
 // here they are supplied by the caller (e.g. mined from simulated personal
 // histories).
 func NewSpace(q *oassisql.Query, bindings []sparql.Binding, morePool ontology.FactSet) (*Space, error) {
-	v := q.Vocabulary()
-	s := &Space{
-		v:          v,
-		query:      q,
-		kinds:      make(map[string]vocab.Kind),
-		validVals:  make(map[string][]vocab.TermID),
-		ub:         make(map[string][]vocab.TermID),
-		in:         newInterner(),
-		coverCache: make(map[string]bool),
-	}
-	whereKinds, err := sparql.VarKinds(q.Where)
+	s, err := newSpaceShell(q, morePool)
 	if err != nil {
 		return nil, err
 	}
-	for _, sv := range q.SatVars() {
-		_, bound := whereKinds[sv.Name]
-		s.vars = append(s.vars, VarSpec{Name: sv.Name, Kind: sv.Kind, Mult: sv.Mult, Bound: bound})
-		s.kinds[sv.Name] = sv.Kind
-	}
-	if q.Satisfying.More {
-		s.morePool = canonicalMore(v, morePool)
-	}
-	s.computeUpperBounds()
 	s.project(bindings)
 	return s, nil
 }
@@ -126,6 +117,7 @@ func newSpaceShell(q *oassisql.Query, morePool ontology.FactSet) (*Space, error)
 		ub:         make(map[string][]vocab.TermID),
 		in:         newInterner(),
 		coverCache: make(map[string]bool),
+		agreeCache: make(map[string]bool),
 	}
 	whereKinds, err := sparql.VarKinds(q.Where)
 	if err != nil {
@@ -300,15 +292,14 @@ func (s *Space) Leq(a, b *Assignment) bool { return Leq(s.v, s.kinds, a, b) }
 
 // Canon returns the canonical interned twin of a, registering it (and
 // assigning a dense NodeID) on first sight. Assignments returned by Roots,
-// Successors, Predecessors and Valid are already canonical; Canon is for
-// assignments built externally (e.g. planted test fixtures).
+// Successors, Predecessors and Valid are already canonical and come back
+// without taking any lock; Canon is for assignments built externally (e.g.
+// planted test fixtures) or interned by another space, whose own ID and
+// edge lists it leaves untouched.
 func (s *Space) Canon(a *Assignment) *Assignment {
-	s.in.mu.RLock()
 	if s.in.canonical(a) {
-		s.in.mu.RUnlock()
 		return a
 	}
-	s.in.mu.RUnlock()
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
 	return s.canonLocked(a)
@@ -607,7 +598,7 @@ func (s *Space) InClosure(a *Assignment) bool {
 // inClosureLocked memoizes InClosure per interned node; caller holds in.mu.
 func (s *Space) inClosureLocked(a *Assignment) bool {
 	id := a.id
-	interned := id != noID && int(id) < len(s.in.nodes) && s.in.nodes[id] == a
+	interned := s.in.canonical(a)
 	if interned {
 		switch s.in.closure[id] {
 		case 1:
@@ -628,27 +619,13 @@ func (s *Space) inClosureLocked(a *Assignment) bool {
 }
 
 func (s *Space) computeInClosureLocked(a *Assignment) bool {
-	var bound []VarSpec
-	for _, vs := range s.vars {
+	var bound []int
+	for i, vs := range s.vars {
 		if vs.Bound && len(a.Values(vs.Name)) > 0 {
-			bound = append(bound, vs)
+			bound = append(bound, i)
 		}
 	}
-	pick := make([]vocab.TermID, len(bound))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(bound) {
-			return s.productCovered(bound, pick)
-		}
-		for _, v := range a.Values(bound[i].Name) {
-			pick[i] = v
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	if !rec(0) {
+	if !s.everyProduct(a, bound, false) {
 		return false
 	}
 	for _, f := range a.More() {
@@ -666,27 +643,94 @@ func (s *Space) computeInClosureLocked(a *Assignment) bool {
 	return true
 }
 
-// productCovered reports whether the singleton product (bound[i] → pick[i])
-// generalizes some valid assignment. Results are memoized: related
-// assignments share most of their products. Caller holds in.mu.
-func (s *Space) productCovered(bound []VarSpec, pick []vocab.TermID) bool {
-	var kb strings.Builder
-	for i, vs := range bound {
-		kb.WriteString(vs.Name)
-		kb.WriteByte(':')
-		kb.WriteString(strconv.Itoa(int(pick[i])))
-		kb.WriteByte(';')
+// everyProduct reports whether every singleton product of a's value sets
+// over the given variables (indices into vars) passes productCovered, or
+// validAgrees when exact is set. Products are enumerated with the first
+// variable outermost, stopping at the first failure. Caller holds in.mu.
+func (s *Space) everyProduct(a *Assignment, bound []int, exact bool) bool {
+	vals := make([][]vocab.TermID, len(bound))
+	pick := make([]vocab.TermID, len(bound))
+	pos := make([]int, len(bound))
+	for i, vi := range bound {
+		vals[i] = a.Values(s.vars[vi].Name)
+		pick[i] = vals[i][0]
 	}
-	key := kb.String()
-	if v, ok := s.coverCache[key]; ok {
+	for {
+		var ok bool
+		if exact {
+			ok = s.validAgrees(bound, pick)
+		} else {
+			ok = s.productCovered(bound, pick)
+		}
+		if !ok {
+			return false
+		}
+		i := len(bound) - 1
+		for ; i >= 0; i-- {
+			if pos[i]++; pos[i] < len(vals[i]) {
+				pick[i] = vals[i][pos[i]]
+				break
+			}
+			pos[i], pick[i] = 0, vals[i][0]
+		}
+		if i < 0 {
+			return true
+		}
+	}
+}
+
+// validColumns returns the column table of 𝒜valid (see Space.cols),
+// building it on first use. Valid assignments have multiplicity 1, so one
+// value per variable describes each of them.
+func (s *Space) validColumns() [][]vocab.TermID {
+	s.colsOnce.Do(func() {
+		cols := make([][]vocab.TermID, len(s.vars))
+		for i, vs := range s.vars {
+			if !vs.Bound {
+				continue
+			}
+			col := make([]vocab.TermID, len(s.valid))
+			for j, psi := range s.valid {
+				col[j] = vocab.NoTerm
+				if pv := psi.Values(vs.Name); len(pv) == 1 {
+					col[j] = pv[0]
+				}
+			}
+			cols[i] = col
+		}
+		s.cols = cols
+	})
+	return s.cols
+}
+
+// productKey encodes a singleton product as a fixed-width binary memo key
+// (variable index, value) per variable; the encoding is injective. The
+// returned slice aliases keyBuf. Caller holds in.mu.
+func (s *Space) productKey(bound []int, pick []vocab.TermID) []byte {
+	k := s.keyBuf[:0]
+	for i, vi := range bound {
+		k = binary.LittleEndian.AppendUint32(k, uint32(vi))
+		k = binary.LittleEndian.AppendUint32(k, uint32(pick[i]))
+	}
+	s.keyBuf = k
+	return k
+}
+
+// productCovered reports whether the singleton product (vars[bound[i]] →
+// pick[i]) generalizes some valid assignment. Results are memoized: related
+// assignments share most of their products. Caller holds in.mu.
+func (s *Space) productCovered(bound []int, pick []vocab.TermID) bool {
+	key := s.productKey(bound, pick)
+	if v, ok := s.coverCache[string(key)]; ok {
 		return v
 	}
+	cols := s.validColumns()
 	covered := false
-	for _, psi := range s.valid {
+	for j := range s.valid {
 		ok := true
-		for i, vs := range bound {
-			pv := psi.Values(vs.Name)
-			if len(pv) != 1 || !s.v.Leq(vs.Kind, pick[i], pv[0]) {
+		for i, vi := range bound {
+			t := cols[vi][j]
+			if t == vocab.NoTerm || !s.v.Leq(s.vars[vi].Kind, pick[i], t) {
 				ok = false
 				break
 			}
@@ -696,7 +740,7 @@ func (s *Space) productCovered(bound []VarSpec, pick []vocab.TermID) bool {
 			break
 		}
 	}
-	s.coverCache[key] = covered
+	s.coverCache[string(key)] = covered
 	return covered
 }
 
@@ -711,33 +755,19 @@ func (s *Space) IsValid(a *Assignment) bool {
 }
 
 func (s *Space) isValidLocked(a *Assignment) bool {
-	var bound []VarSpec
-	for _, vs := range s.vars {
+	var bound []int
+	for i, vs := range s.vars {
 		n := len(a.Values(vs.Name))
 		if !vs.Mult.Allows(n) {
 			return false
 		}
 		if vs.Bound && n > 0 {
-			bound = append(bound, vs)
+			bound = append(bound, i)
 		} else if vs.Bound && vs.Mult.Min > 0 {
 			return false
 		}
 	}
-	pick := make([]vocab.TermID, len(bound))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(bound) {
-			return s.validAgrees(bound, pick)
-		}
-		for _, v := range a.Values(bound[i].Name) {
-			pick[i] = v
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0)
+	return s.everyProduct(a, bound, true)
 }
 
 // validAgrees reports whether some valid assignment binds exactly the given
@@ -745,25 +775,17 @@ func (s *Space) isValidLocked(a *Assignment) bool {
 // empty under multiplicity 0) may take any value there: dropping a
 // multiplicity-0 variable deletes its meta-facts, not the assignment's
 // validity (Section 3). Caller holds in.mu.
-func (s *Space) validAgrees(bound []VarSpec, pick []vocab.TermID) bool {
-	var kb strings.Builder
-	kb.WriteByte('=')
-	for i, vs := range bound {
-		kb.WriteString(vs.Name)
-		kb.WriteByte(':')
-		kb.WriteString(strconv.Itoa(int(pick[i])))
-		kb.WriteByte(';')
-	}
-	key := kb.String()
-	if v, ok := s.coverCache[key]; ok {
+func (s *Space) validAgrees(bound []int, pick []vocab.TermID) bool {
+	key := s.productKey(bound, pick)
+	if v, ok := s.agreeCache[string(key)]; ok {
 		return v
 	}
+	cols := s.validColumns()
 	agrees := false
-	for _, psi := range s.valid {
+	for j := range s.valid {
 		ok := true
-		for i, vs := range bound {
-			pv := psi.Values(vs.Name)
-			if len(pv) != 1 || pv[0] != pick[i] {
+		for i, vi := range bound {
+			if cols[vi][j] != pick[i] {
 				ok = false
 				break
 			}
@@ -773,8 +795,97 @@ func (s *Space) validAgrees(bound []VarSpec, pick []vocab.TermID) bool {
 			break
 		}
 	}
-	s.coverCache[key] = agrees
+	s.agreeCache[string(key)] = agrees
 	return agrees
+}
+
+// DropClassifiedValid filters idx, a list of indices into Valid(), in place
+// and returns the kept prefix: it drops every ψ that a mark on a classifies
+// by Observation 4.4 — ψ ≤ a when sig, a ≤ ψ otherwise. The test is the
+// relation Leq on those pairs, MORE facts included, evaluated on the
+// column table with a's variables resolved once per call.
+func (s *Space) DropClassifiedValid(idx []int32, a *Assignment, sig bool) []int32 {
+	cols := s.validColumns()
+	var checks []colCheck
+	if sig {
+		// ψ ≤ a: every value ψ binds lies below some value of a.
+		for i, vs := range s.vars {
+			if cols[i] != nil {
+				checks = append(checks, colCheck{cols[i], a.Values(vs.Name), vs.Kind})
+			}
+		}
+	} else {
+		// a ≤ ψ: every value of a lies below ψ's value on that variable.
+		// ψ binds no MORE fact and no variable outside the columns, so an
+		// a with either lies below no valid assignment.
+		if len(a.more) > 0 {
+			return idx
+		}
+		for ai, name := range a.names {
+			if len(a.vals[ai]) == 0 {
+				continue
+			}
+			var col []vocab.TermID
+			for i, vs := range s.vars {
+				if vs.Name == name {
+					col = cols[i]
+					break
+				}
+			}
+			if col == nil {
+				return idx
+			}
+			checks = append(checks, colCheck{col, a.vals[ai], a.kinds[ai]})
+		}
+	}
+	out := idx[:0]
+	for _, j := range idx {
+		if !s.columnsLeq(checks, j, sig) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// colCheck compares one variable of a marked assignment against a column of
+// the valid table: vals is the mark's value set, compared under kind.
+type colCheck struct {
+	col  []vocab.TermID
+	vals []vocab.TermID
+	kind vocab.Kind
+}
+
+// columnsLeq reports Valid()[j] ≤ a when below is set, a ≤ Valid()[j]
+// otherwise, for the assignment a that the checks were resolved from.
+func (s *Space) columnsLeq(checks []colCheck, j int32, below bool) bool {
+	for _, c := range checks {
+		t := c.col[j]
+		if below {
+			if t == vocab.NoTerm {
+				continue
+			}
+			ok := false
+			for _, v := range c.vals {
+				if s.v.Leq(c.kind, t, v) {
+					ok = true
+					break
+				}
+			}
+			if !ok {
+				return false
+			}
+			continue
+		}
+		if t == vocab.NoTerm {
+			return false
+		}
+		for _, v := range c.vals {
+			if !s.v.Leq(c.kind, v, t) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Instantiate applies the assignment to the SATISFYING meta-fact-set

@@ -6,12 +6,15 @@ package assign_test
 // spaces are built concurrently. Run with -race.
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"oassis/internal/assign"
 	"oassis/internal/sparql"
 	"oassis/internal/synth"
+	"oassis/internal/vocab"
 )
 
 // dagFixture returns a DAG workload large enough to cross the parallel
@@ -87,6 +90,100 @@ func TestConcurrentSpaceConstruction(t *testing.T) {
 				}
 			}
 		}()
+	}
+	wg.Wait()
+}
+
+// canonWalk is one goroutine's share of TestConcurrentCanonicalCheck: seeded
+// walks over the shared space that canonicalize each reached node, its
+// rebuilt twin (built outside any space), the same node interned by a second
+// space, and a specialization that may not be interned yet, while a private
+// Classifier marks and reads statuses through them. It returns one line per
+// step, keyed by canonical keys so that it does not depend on NodeIDs.
+func canonWalk(t *testing.T, s, other *assign.Space, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	v := s.Vocabulary()
+	cls := assign.NewClassifier(s)
+	rebuild := func(a *assign.Assignment) *assign.Assignment {
+		vals := map[string][]vocab.TermID{}
+		for _, name := range a.Vars() {
+			vals[name] = append([]vocab.TermID(nil), a.Values(name)...)
+		}
+		return assign.New(v, s.Kinds(), vals, a.More())
+	}
+	var out []string
+	for w := 0; w < 30; w++ {
+		roots := s.Roots()
+		n := roots[rng.Intn(len(roots))]
+		for i := rng.Intn(6); i > 0; i-- {
+			succs := s.Successors(n)
+			if len(succs) == 0 {
+				break
+			}
+			n = succs[rng.Intn(len(succs))]
+		}
+		if s.Canon(n) != n {
+			t.Errorf("Canon of a canonical node %s returned another node", n.Key())
+		}
+		twin := rebuild(n)
+		if s.Canon(twin) != n {
+			t.Errorf("rebuilt %s did not intern onto the walked node", n.Key())
+		}
+		if s.Canon(other.Canon(rebuild(n))) != n {
+			t.Errorf("%s interned by another space did not resolve to the walked node", n.Key())
+		}
+		// A leaf specialization built outside the space: several
+		// goroutines may intern it at once.
+		leaves := map[string][]vocab.TermID{}
+		for _, name := range n.Vars() {
+			x := n.Values(name)[0]
+			for kids := v.Children(s.Kinds()[name], x); len(kids) > 0; kids = v.Children(s.Kinds()[name], x) {
+				x = kids[0]
+			}
+			leaves[name] = []vocab.TermID{x}
+		}
+		spec := assign.New(v, s.Kinds(), leaves, nil)
+		if c := s.Canon(spec); c.Key() != spec.Key() || s.Canon(c) != c {
+			t.Errorf("Canon(%s) returned %s", spec.Key(), c.Key())
+		}
+		// Significant marks on walked nodes (via their twins) and
+		// insignificant marks on the leaf specializations keep both
+		// verdicts in play.
+		if cls.Status(twin) == assign.Unknown && rng.Intn(2) == 0 {
+			cls.MarkSignificant(twin)
+		}
+		if cls.Status(spec) == assign.Unknown {
+			cls.MarkInsignificant(spec)
+		}
+		out = append(out, fmt.Sprintf("%s %v %s %v %d", n.Key(), cls.Status(n), spec.Key(), cls.Status(spec), len(s.Successors(n))))
+	}
+	return out
+}
+
+// TestConcurrentCanonicalCheck shares one space (and a second space whose
+// nodes cross over) between goroutines that run Canon, Successors and a
+// private Classifier, including on assignments built outside the space.
+// The lock-free canonical check must never let a goroutine see a node
+// before its ID, and every goroutine must reach the verdicts a serial run
+// on a fresh space reaches. Run with -race.
+func TestConcurrentCanonicalCheck(t *testing.T) {
+	const workers = 6
+	want := make([][]string, workers)
+	for g := range want {
+		ref, other := randomSpace(t, 43), randomSpace(t, 43)
+		want[g] = canonWalk(t, ref.Space, other.Space, int64(g))
+	}
+	shared, other := randomSpace(t, 43), randomSpace(t, 43)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := canonWalk(t, shared.Space, other.Space, int64(g))
+			if fmt.Sprint(got) != fmt.Sprint(want[g]) {
+				t.Errorf("goroutine %d diverged from its serial run:\n got %v\nwant %v", g, got, want[g])
+			}
+		}(g)
 	}
 	wg.Wait()
 }

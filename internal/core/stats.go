@@ -126,8 +126,10 @@ func (r *Result) SupportOf(a *assign.Assignment) (float64, bool) {
 // progressTracker incrementally maintains the counters behind
 // Stats.Progress.
 type progressTracker struct {
-	space           *assign.Space
-	unclassifiedVal []*assign.Assignment
+	space *assign.Space
+	// unclassified holds the indices into space.Valid() of the valid
+	// assignments no mark has classified yet.
+	unclassified    []int32
 	classifiedValid int
 	mspSeen         map[assign.NodeID]bool
 	validMSPSeen    map[assign.NodeID]bool
@@ -136,31 +138,22 @@ type progressTracker struct {
 func newProgressTracker(sp *assign.Space) *progressTracker {
 	t := &progressTracker{
 		space:        sp,
+		unclassified: make([]int32, len(sp.Valid())),
 		mspSeen:      make(map[assign.NodeID]bool),
 		validMSPSeen: make(map[assign.NodeID]bool),
 	}
-	t.unclassifiedVal = append(t.unclassifiedVal, sp.Valid()...)
+	for j := range t.unclassified {
+		t.unclassified[j] = int32(j)
+	}
 	return t
 }
 
 // onMark updates the classified-valid counter after a border change. sig
 // says which border grew; a is the newly marked assignment.
 func (t *progressTracker) onMark(a *assign.Assignment, sig bool) {
-	rest := t.unclassifiedVal[:0]
-	for _, psi := range t.unclassifiedVal {
-		var classified bool
-		if sig {
-			classified = t.space.Leq(psi, a)
-		} else {
-			classified = t.space.Leq(a, psi)
-		}
-		if classified {
-			t.classifiedValid++
-		} else {
-			rest = append(rest, psi)
-		}
-	}
-	t.unclassifiedVal = rest
+	before := len(t.unclassified)
+	t.unclassified = t.space.DropClassifiedValid(t.unclassified, a, sig)
+	t.classifiedValid += before - len(t.unclassified)
 }
 
 // onMSP records a confirmed MSP (idempotent).

@@ -94,8 +94,8 @@ func TestPlatformDifferentialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 2 + rng.Intn(3)       // 2..4 members
-		quorum := 1 + rng.Intn(n)  // 1..n
+		n := 2 + rng.Intn(3)      // 2..4 members
+		quorum := 1 + rng.Intn(n) // 1..n
 		ratio := float64(rng.Intn(3)) * 0.15
 		runSeed := int64(seed*7 + 3)
 
