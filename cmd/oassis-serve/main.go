@@ -198,7 +198,16 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 	if cfg.pprof {
 		fmt.Printf("oassis-serve: profiling on %s/debug/pprof/\n", addr)
 	}
-	return http.ListenAndServe(addr, srv.Handler())
+	hs := &http.Server{
+		Addr:    addr,
+		Handler: srv.Handler(),
+		// A client gets this long to send its request headers, and an idle
+		// keep-alive connection is closed after IdleTimeout, so slow or
+		// abandoned clients cannot hold connections open indefinitely.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	return hs.ListenAndServe()
 }
 
 // fleetNames derives a unique fleet name per query file: the file's base

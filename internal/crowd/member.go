@@ -93,52 +93,18 @@ type SimMember struct {
 	// Attrs holds profile attributes for crowd selection.
 	Attrs map[string]string
 
-	rng *rand.Rand
-	// relevant caches the terms that occur (up to generalization) in the
-	// member's transactions; anything else can be pruned.
-	relevantE map[vocab.TermID]bool
-	relevantR map[vocab.TermID]bool
+	// seed and rng serve only pruning clicks, so the generator is seeded
+	// on the member's first zero-support pruning draw (the draw stream is
+	// the one an eagerly seeded generator gives); a member that never
+	// faces such a question never pays for seeding.
+	seed int64
+	rng  *rand.Rand
 }
 
 // NewSimMember builds a simulated member over a personal database. The seed
 // makes pruning decisions reproducible.
 func NewSimMember(id string, v *vocab.Vocabulary, db []ontology.FactSet, seed int64) *SimMember {
-	m := &SimMember{
-		id: id, v: v, db: db,
-		Scale: UIScale,
-		rng:   rand.New(rand.NewSource(seed)),
-	}
-	m.relevantE = make(map[vocab.TermID]bool)
-	m.relevantR = make(map[vocab.TermID]bool)
-	for _, t := range db {
-		for _, f := range t {
-			m.markRelevantE(f.S)
-			m.markRelevantR(f.P)
-			m.markRelevantE(f.O)
-		}
-	}
-	return m
-}
-
-// markRelevantE marks the element and all its generalizations relevant.
-func (m *SimMember) markRelevantE(e vocab.TermID) {
-	if e == ontology.Any || m.relevantE[e] {
-		return
-	}
-	m.relevantE[e] = true
-	for _, p := range m.v.ElementParents(e) {
-		m.markRelevantE(p)
-	}
-}
-
-func (m *SimMember) markRelevantR(r vocab.TermID) {
-	if r == ontology.Any || m.relevantR[r] {
-		return
-	}
-	m.relevantR[r] = true
-	for _, p := range m.v.RelationParents(r) {
-		m.markRelevantR(p)
-	}
+	return &SimMember{id: id, v: v, db: db, Scale: UIScale, seed: seed}
 }
 
 // ID implements Member.
@@ -160,24 +126,43 @@ func (m *SimMember) TrueSupport(fs ontology.FactSet) float64 {
 func (m *SimMember) AskConcrete(fs ontology.FactSet) Response {
 	s := m.TrueSupport(fs)
 	resp := Response{Support: BucketSupport(s, m.Scale)}
-	if s == 0 && m.PruneRatio > 0 && m.rng.Float64() < m.PruneRatio {
-		resp.Pruned = m.irrelevantTerms(fs)
+	if s == 0 && m.PruneRatio > 0 {
+		if m.rng == nil {
+			m.rng = rand.New(rand.NewSource(m.seed))
+		}
+		if m.rng.Float64() < m.PruneRatio {
+			resp.Pruned = m.irrelevantTerms(fs)
+		}
 	}
 	return resp
 }
 
 // irrelevantTerms returns the fact-set's terms that never occur in the
-// member's history (at most one element and one relation, mirroring the
-// single-click UI).
+// member's history, not even as a generalization of a term that does (at
+// most one element, mirroring the single-click UI).
 func (m *SimMember) irrelevantTerms(fs ontology.FactSet) []vocab.TermID {
 	for _, f := range fs {
 		for _, e := range []vocab.TermID{f.S, f.O} {
-			if e != ontology.Any && !m.relevantE[e] {
+			if e != ontology.Any && !m.engagesWith(e) {
 				return []vocab.TermID{e}
 			}
 		}
 	}
 	return nil
+}
+
+// engagesWith reports whether e or a specialization of e occurs in the
+// member's transactions. Pruning clicks are rare, so this scans the
+// history per click instead of keeping a closure per member.
+func (m *SimMember) engagesWith(e vocab.TermID) bool {
+	for _, t := range m.db {
+		for _, f := range t {
+			if m.v.LeqE(e, f.S) || m.v.LeqE(e, f.O) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // AskSpecialize implements Member: the member picks the candidate they do

@@ -21,7 +21,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -540,9 +542,24 @@ type answerBody struct {
 	Choice int `json:"choice"`
 }
 
+// maxAnswerBytes bounds a POST /answer body. A well-formed answer is well
+// under 200 bytes; a longer body is refused with 413 before any of it is
+// decoded.
+const maxAnswerBytes = 4 << 10
+
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAnswerBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "answer body over 4 KB", http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "reading answer: "+err.Error(), http.StatusBadRequest)
+		}
+		return
+	}
 	var body answerBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.Unmarshal(raw, &body); err != nil {
 		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
 		return
 	}

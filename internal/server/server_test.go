@@ -259,6 +259,53 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestAnswerBodyBounds covers hostile POST /answer bodies: one over the
+// 4 KB bound is refused with 413 before anything is decoded, and malformed
+// JSON is refused with 400. The bounded bodies are valid answers for an
+// unknown member padded with whitespace, so a body that got decoded would
+// come back 404 instead.
+func TestAnswerBodyBounds(t *testing.T) {
+	srv := server.New(server.Config{MinMembers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/answer", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
+	}
+	padded := func(n int) string {
+		head, tail := `{"member":"ghost",`, `"question":1,"support":0.5}`
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	if code, msg := post(padded(4 << 10)); code != http.StatusNotFound {
+		t.Fatalf("answer of exactly 4 KB: %d %q, want 404 (decoded, unknown member)", code, msg)
+	}
+	for _, n := range []int{4<<10 + 1, 64 << 10, 2 << 20} {
+		if code, msg := post(padded(n)); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("answer of %d bytes: %d %q, want 413", n, code, msg)
+		}
+	}
+	for _, body := range []string{
+		"",
+		"not json",
+		`{"member":"ghost","question":1`,
+		`{"member":"ghost","question":"one","support":0.5}`,
+		`{"member":"ghost","question":1,"support":0.5} {"member":"ghost"}`,
+		`["ghost",1,0.5]`,
+		"{\"member\":\"gh\x00ost\",\"question\":1}",
+	} {
+		if code, msg := post(body); code != http.StatusBadRequest {
+			t.Errorf("malformed answer %q: %d %q, want 400", body, code, msg)
+		}
+	}
+}
+
 // TestResultsDeterministicOrder pins the /results contract: the answers
 // array is sorted, independent of the interleaving in which answers
 // arrived from the crowd.

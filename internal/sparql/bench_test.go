@@ -1,10 +1,13 @@
 package sparql_test
 
 import (
+	"bytes"
 	"testing"
 
+	"oassis/internal/ontology"
 	"oassis/internal/paperdata"
 	"oassis/internal/sparql"
+	"oassis/internal/synth"
 	"oassis/internal/vocab"
 )
 
@@ -95,4 +98,62 @@ func BenchmarkPlanCache(b *testing.B) {
 			b.Fatalf("expected >= %d cache hits, got %d", b.N, hits)
 		}
 	})
+}
+
+// BenchmarkSemanticStar streams a three-pattern Semantic-mode star,
+// `$s instanceOf C . $s link0 $o1 . $s link1 $o2`, over the smoke-scale
+// fleet ontology, with C the class whose instance cone is closest to 100
+// instances. The free $s and $o1 sides walk ancestor cones, so the third
+// pattern meets the same bound $s once per row of the second: the shape
+// whose repeated bound-side matches the per-run match memo serves.
+func BenchmarkSemanticStar(b *testing.B) {
+	var buf bytes.Buffer
+	if err := synth.WriteScaleNTriples(&buf, synth.SmokeScale()); err != nil {
+		b.Fatal(err)
+	}
+	_, st, _, err := ontology.LoadNTriples(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := st.Vocabulary()
+	inst := v.Relation(ontology.RelInstanceOf)
+	anchor, best := vocab.TermID(0), -1
+	for c := 0; c < synth.SmokeScale().Classes; c++ {
+		class := v.Element(synth.ScaleClassName(c))
+		n := 0
+		for _, d := range v.ElementDescendants(class) {
+			n += len(st.Subjects(inst, d))
+		}
+		d := n - 100
+		if d < 0 {
+			d = -d
+		}
+		if best < 0 || d < best {
+			anchor, best = class, d
+		}
+	}
+	rel := func(i int) sparql.Term { return sparql.ConstTerm(v.Relation(synth.ScalePredName(i))) }
+	s := sparql.VarTerm("s")
+	bgp := sparql.BGP{
+		{S: s, P: sparql.ConstTerm(inst), O: sparql.ConstTerm(anchor)},
+		{S: s, P: rel(0), O: sparql.VarTerm("o1")},
+		{S: s, P: rel(1), O: sparql.VarTerm("o2")},
+	}
+	e := sparql.NewEvaluator(st)
+	e.Semantic = true
+	pl, err := e.Compile(bgp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	yield := func([]vocab.TermID) bool { return true }
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows = pl.Stream(yield)
+	}
+	if rows == 0 {
+		b.Fatal("semantic star matched no rows")
+	}
+	b.ReportMetric(float64(rows), "rows/op")
 }

@@ -596,7 +596,9 @@ func (pl *Plan) Explain() string {
 // copy it); returning false stops the run. Eval installs its arena collector
 // as the yield, so collection and streaming share one execution path.
 // counts, when non-nil, tallies step entries per operator for this run
-// (merged into the plan's atomics once at the end).
+// (merged into the plan's atomics once at the end). sem memoizes bound-side
+// semantic matches for this run (see semMatches); it stays nil until an
+// operator after the first needs it.
 type exec struct {
 	pl      *Plan
 	row     []vocab.TermID
@@ -606,6 +608,14 @@ type exec struct {
 	arena   []vocab.TermID
 	rows    [][]vocab.TermID
 	counts  []int64
+	sem     map[semKey][]ontology.Fact
+}
+
+// semKey is the bound shape of a semantic triple under one concrete
+// predicate: the values of its bound sides (zero when unbound).
+type semKey struct {
+	pred, s, o vocab.TermID
+	sOK, oOK   bool
 }
 
 func (pl *Plan) newExec() *exec {
@@ -980,7 +990,7 @@ func (pl *Plan) runSemDispatch(ex *exec, o *op, i int) {
 // always takes the linear scan: index probing cannot beat a scan this short.
 const semScanFloor = 64
 
-// semCandidates returns the facts runSemTriple must consider for a pattern
+// semCandidates returns the facts semMatches must consider for a pattern
 // with the given bound sides, in byP order (Fact.Less, i.e. (S, O) within
 // one predicate). When a side is bound and its descendant cone is small
 // relative to the predicate's fact list, the candidates are collected
@@ -988,8 +998,8 @@ const semScanFloor = 64
 // scan that survives that side's ≤ filter, at a fraction of the cost — and
 // re-sorted into byP order only if the collection order differs from it.
 // Each point list is sorted, so a one-element cone (a leaf) never needs the
-// sort. Otherwise it returns the shared byP slice and the caller's per-fact
-// filters do the work as before.
+// sort. Otherwise it returns the shared byP slice, which the caller must
+// filter without modifying.
 func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK bool, obj vocab.TermID, oOK bool) []ontology.Fact {
 	st, v := pl.store, pl.v
 	all := st.FactsWithPredicate(pred)
@@ -1033,6 +1043,48 @@ func inByPOrder(fs []ontology.Fact) []ontology.Fact {
 	return fs
 }
 
+// semMatches returns the facts under pred that witness the bound sides of a
+// semantic triple (s ≤ g.S when sOK, obj ≤ g.O when oOK), in byP order, and
+// whether that filter is already applied. The list is a pure function of
+// semKey, yet an operator after the first meets the same key once per outer
+// row, so each such key is collected, sorted and filtered once per run and
+// every repeat is one map lookup. It is the same subsequence of the same
+// byP order as the unmemoized scan, so emission order does not change.
+// Operator 0 runs under a fixed bound state, its key never repeats, and it
+// keeps the unfiltered candidates for the caller to check per fact; a
+// pattern with no bound side reads the shared byP slice directly.
+func (ex *exec) semMatches(pred, s vocab.TermID, sOK bool, obj vocab.TermID, oOK bool, i int) ([]ontology.Fact, bool) {
+	pl := ex.pl
+	if !sOK && !oOK {
+		return pl.store.FactsWithPredicate(pred), true
+	}
+	if i == 0 {
+		return pl.semCandidates(pred, s, sOK, obj, oOK), false
+	}
+	k := semKey{pred: pred, s: s, o: obj, sOK: sOK, oOK: oOK}
+	if m, ok := ex.sem[k]; ok {
+		return m, true
+	}
+	// An index-collected list is this run's own and is filtered in place;
+	// the shared byP slice is read-only and is filtered into a new one.
+	cands := pl.semCandidates(pred, s, sOK, obj, oOK)
+	var m []ontology.Fact
+	if all := pl.store.FactsWithPredicate(pred); len(cands) > 0 && &cands[0] != &all[0] {
+		m = cands[:0]
+	}
+	v := pl.v
+	for _, g := range cands {
+		if (!sOK || v.LeqE(s, g.S)) && (!oOK || v.LeqE(obj, g.O)) {
+			m = append(m, g)
+		}
+	}
+	if ex.sem == nil {
+		ex.sem = make(map[semKey][]ontology.Fact)
+	}
+	ex.sem[k] = m
+	return m, true
+}
+
 // runSemTriple matches the pattern against facts stored under one concrete
 // predicate with Definition 2.5 semantics: a stored fact g witnesses the
 // pattern fact f when f ≤ g, and free variables additionally range over
@@ -1043,14 +1095,12 @@ func (pl *Plan) runSemTriple(ex *exec, o *op, pred vocab.TermID, i int) {
 	v := pl.v
 	s, sOK := ex.resolve(o.s)
 	obj, oOK := ex.resolve(o.o)
-	for _, g := range pl.semCandidates(pred, s, sOK, obj, oOK) {
+	matches, filtered := ex.semMatches(pred, s, sOK, obj, oOK, i)
+	for _, g := range matches {
 		if ex.stop {
 			return
 		}
-		if sOK && !v.LeqE(s, g.S) {
-			continue
-		}
-		if oOK && !v.LeqE(obj, g.O) {
+		if !filtered && (sOK && !v.LeqE(s, g.S) || oOK && !v.LeqE(obj, g.O)) {
 			continue
 		}
 		var sAnc, oAnc []vocab.TermID
