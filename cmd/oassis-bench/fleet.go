@@ -14,33 +14,26 @@ import (
 	"oassis/internal/synth"
 )
 
-// fleetReport is the JSON document `-fleet` emits (BENCH_PR8.json): ingest
-// throughput for the serial and parallel N-Triples loaders over the same
-// generated document, differential proof that both produced the same
-// vocabulary/store, and the query-fleet results over the parallel-loaded
-// store.
+// fleetReport is the JSON document `-fleet` emits: N-Triples ingest
+// throughput over the generated document and the query-fleet results over
+// the loaded store.
 type fleetReport struct {
-	Scale        string                  `json:"scale"`
-	CPUs         int                     `json:"cpus"`
-	Triples      int                     `json:"triples"`
-	Bytes        int                     `json:"bytes"`
-	GenSecs      float64                 `json:"generate_secs"`
-	SerialSecs   float64                 `json:"serial_load_secs"`
-	ParallelSecs float64                 `json:"parallel_load_secs"`
-	SerialTPS    float64                 `json:"serial_triples_per_sec"`
-	ParallelTPS  float64                 `json:"parallel_triples_per_sec"`
-	Speedup      float64                 `json:"parallel_speedup"`
-	Identical    bool                    `json:"serial_parallel_identical"`
-	Stats        *ontology.NTriplesStats `json:"ingest_stats"`
-	Elements     int                     `json:"vocab_elements"`
-	Relations    int                     `json:"vocab_relations"`
-	Facts        int                     `json:"store_facts"`
-	Fleet        *synth.FleetReport      `json:"fleet"`
+	Scale     string                  `json:"scale"`
+	CPUs      int                     `json:"cpus"`
+	Triples   int                     `json:"triples"`
+	Bytes     int                     `json:"bytes"`
+	GenSecs   float64                 `json:"generate_secs"`
+	LoadSecs  float64                 `json:"load_secs"`
+	LoadTPS   float64                 `json:"triples_per_sec"`
+	Stats     *ontology.NTriplesStats `json:"ingest_stats"`
+	Elements  int                     `json:"vocab_elements"`
+	Relations int                     `json:"vocab_relations"`
+	Facts     int                     `json:"store_facts"`
+	Fleet     *synth.FleetReport      `json:"fleet"`
 }
 
-// runFleetBench generates the scale ontology, times both ingestion paths,
-// checks they agree, runs the query fleet against the parallel-loaded
-// store and writes the JSON report.
+// runFleetBench generates the scale ontology, times its ingestion, runs
+// the query fleet against the loaded store and writes the JSON report.
 func runFleetBench(scaleName string, queries, execs, workers, mine int, seed int64, out string, o *obs.Observer) error {
 	var scale synth.ScaleConfig
 	switch scaleName {
@@ -65,36 +58,18 @@ func runFleetBench(scaleName string, queries, execs, workers, mine int, seed int
 		scale.TripleCount(), float64(buf.Len())/(1<<20), genSecs)
 
 	t1 := time.Now()
-	sv, ss, sstats, err := ontology.LoadNTriples(bytes.NewReader(buf.Bytes()))
+	v, store, stats, err := ontology.LoadNTriples(bytes.NewReader(buf.Bytes()), ontology.LoadOptions{Obs: o})
 	if err != nil {
-		return fmt.Errorf("serial load: %w", err)
+		return fmt.Errorf("load: %w", err)
 	}
-	serialSecs := time.Since(t1).Seconds()
-	fmt.Printf("serial load:   %.2fs (%.0f triples/s)\n", serialSecs, float64(sstats.Triples)/serialSecs)
-
-	t2 := time.Now()
-	pv, ps, pstats, err := ontology.LoadNTriplesParallel(bytes.NewReader(buf.Bytes()), ontology.LoadOptions{Obs: o})
-	if err != nil {
-		return fmt.Errorf("parallel load: %w", err)
-	}
-	parSecs := time.Since(t2).Seconds()
-	fmt.Printf("parallel load: %.2fs (%.0f triples/s, %d cpus)\n",
-		parSecs, float64(pstats.Triples)/parSecs, runtime.GOMAXPROCS(0))
-
-	identical := *sstats == *pstats &&
-		sv.NumElements() == pv.NumElements() &&
-		sv.NumRelations() == pv.NumRelations() &&
-		ss.Size() == ps.Size()
-	if !identical {
-		return fmt.Errorf("serial and parallel ingest diverge: stats %+v vs %+v, vocab (%d,%d) vs (%d,%d), facts %d vs %d",
-			*sstats, *pstats, sv.NumElements(), sv.NumRelations(),
-			pv.NumElements(), pv.NumRelations(), ss.Size(), ps.Size())
-	}
+	loadSecs := time.Since(t1).Seconds()
+	fmt.Printf("load: %.2fs (%.0f triples/s, %d cpus)\n",
+		loadSecs, float64(stats.Triples)/loadSecs, runtime.GOMAXPROCS(0))
 
 	fcfg := synth.FleetConfig{Queries: queries, Executions: execs, Workers: workers,
 		MineMembers: mine, Seed: seed, Obs: o}
 	fleet := synth.SampleFleet(scale, fcfg)
-	rep, err := synth.RunFleet(ps, fleet, fcfg)
+	rep, err := synth.RunFleet(store, fleet, fcfg)
 	if err != nil {
 		return err
 	}
@@ -120,22 +95,18 @@ func runFleetBench(scaleName string, queries, execs, workers, mine int, seed int
 	}
 
 	doc := fleetReport{
-		Scale:        scaleName,
-		CPUs:         runtime.GOMAXPROCS(0),
-		Triples:      sstats.Triples,
-		Bytes:        buf.Len(),
-		GenSecs:      genSecs,
-		SerialSecs:   serialSecs,
-		ParallelSecs: parSecs,
-		SerialTPS:    float64(sstats.Triples) / serialSecs,
-		ParallelTPS:  float64(pstats.Triples) / parSecs,
-		Speedup:      serialSecs / parSecs,
-		Identical:    identical,
-		Stats:        pstats,
-		Elements:     pv.NumElements(),
-		Relations:    pv.NumRelations(),
-		Facts:        ps.Size(),
-		Fleet:        rep,
+		Scale:     scaleName,
+		CPUs:      runtime.GOMAXPROCS(0),
+		Triples:   stats.Triples,
+		Bytes:     buf.Len(),
+		GenSecs:   genSecs,
+		LoadSecs:  loadSecs,
+		LoadTPS:   float64(stats.Triples) / loadSecs,
+		Stats:     stats,
+		Elements:  v.NumElements(),
+		Relations: v.NumRelations(),
+		Facts:     store.Size(),
+		Fleet:     rep,
 	}
 	if out != "" {
 		f, err := os.Create(out)

@@ -698,9 +698,20 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// knownKind reports whether k is one of the Ev* event kinds.
+func knownKind(k string) bool {
+	switch k {
+	case EvRunStart, EvAsk, EvReply, EvTimeout, EvDeparture, EvMSP, EvRoundEnd, EvRunEnd,
+		EvStoreHit, EvStoreMiss, EvStoreJoin, EvStoreExpired, EvQueryExec:
+		return true
+	}
+	return false
+}
+
 // ReadJournalJSONL decodes a journal stream previously written by the
-// JSONL sink or WriteJSONL. Blank lines are skipped; a malformed line
-// aborts with its line number.
+// JSONL sink or WriteJSONL. Blank lines are skipped; a malformed line, or
+// one that is no journal event (no known kind, or a negative seq), aborts
+// with its line number.
 func ReadJournalJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -715,6 +726,12 @@ func ReadJournalJSONL(r io.Reader) ([]Event, error) {
 		var e Event
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return nil, fmt.Errorf("journal line %d: %w", line, err)
+		}
+		if !knownKind(e.Kind) {
+			return nil, fmt.Errorf("journal line %d: unknown event kind %q", line, e.Kind)
+		}
+		if e.Seq < 0 {
+			return nil, fmt.Errorf("journal line %d: negative seq %d", line, e.Seq)
 		}
 		out = append(out, e)
 	}

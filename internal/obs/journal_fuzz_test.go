@@ -13,7 +13,8 @@ import (
 // each window of four lines, plus a few malformed lines. Seeds stay small
 // because the fuzzer minimizes every interesting input it derives from
 // them, which holds up a short run; the whole recording is checked once up
-// front instead. The reader must never panic, and whatever it accepts must
+// front instead. The reader must never panic, every event it accepts must
+// have a known kind and a non-negative seq, and whatever it accepts must
 // re-encode through the JSONL sink's encoder and read back to the same
 // events.
 func FuzzReadJournalJSONL(f *testing.F) {
@@ -40,6 +41,11 @@ func FuzzReadJournalJSONL(f *testing.F) {
 		evs, err := ReadJournalJSONL(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, e := range evs {
+			if !knownKind(e.Kind) || e.Seq < 0 {
+				t.Fatalf("accepted a line that is no journal event: %+v", e)
+			}
 		}
 		checkJournalRoundTrip(t, evs)
 	})

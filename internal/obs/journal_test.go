@@ -93,6 +93,24 @@ func TestJournalJSONLDeterminism(t *testing.T) {
 	}
 }
 
+// TestReadJournalRejectsNonEvents: a line that decodes as JSON but is no
+// journal event fails the read with its line number instead of reading
+// back as an empty event.
+func TestReadJournalRejectsNonEvents(t *testing.T) {
+	for _, bad := range []string{
+		`null`,
+		`{}`,
+		`{"seq":3,"kind":"bogus"}`,
+		`{"seq":-1,"run":1,"kind":"ask"}`,
+	} {
+		in := `{"seq":0,"run":1,"kind":"run_start"}` + "\n" + bad + "\n"
+		_, err := ReadJournalJSONL(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "journal line 2:") {
+			t.Errorf("%s: err = %v, want a line 2 error", bad, err)
+		}
+	}
+}
+
 // TestJournalRingOverwrite checks wraparound accounting: a ring of n keeps
 // the newest n events in order, counts drops, while a sink still sees all.
 func TestJournalRingOverwrite(t *testing.T) {

@@ -64,7 +64,7 @@ func (s *Store) closureOf(pred vocab.TermID) *pathClosure {
 func (s *Store) buildClosure(pred vocab.TermID) *pathClosure {
 	adj := make(map[vocab.TermID][]vocab.TermID)
 	radj := make(map[vocab.TermID][]vocab.TermID)
-	for _, f := range s.byP[pred] {
+	for _, f := range s.FactsWithPredicate(pred) {
 		adj[f.S] = append(adj[f.S], f.O)
 		radj[f.O] = append(radj[f.O], f.S)
 	}
@@ -123,54 +123,17 @@ func reachSet(adj map[vocab.TermID][]vocab.TermID, start vocab.TermID) []vocab.T
 
 // ForwardClosure returns subj plus everything reachable from it by zero or
 // more pred edges, sorted by ID — or nil when subj has no outgoing pred edge
-// (the closure is then exactly {subj}). On a frozen store the result is a
-// shared index slice; callers must not modify it.
+// (the closure is then exactly {subj}). The result is a shared index slice;
+// callers must not modify it.
 func (s *Store) ForwardClosure(subj, pred vocab.TermID) []vocab.TermID {
-	if s.frozen {
-		return s.closureOf(pred).fwd[subj]
-	}
-	if len(s.bySP[spKey{subj, pred}]) == 0 {
-		return nil
-	}
-	return bfsClosure(subj, func(x vocab.TermID) []vocab.TermID {
-		return s.bySP[spKey{x, pred}]
-	})
+	return s.closureOf(pred).fwd[subj]
 }
 
 // BackwardClosure returns obj plus everything that reaches it by zero or
 // more pred edges, sorted by ID — or nil when obj has no incoming pred edge.
-// On a frozen store the result is a shared index slice; do not modify.
+// The result is a shared index slice; do not modify.
 func (s *Store) BackwardClosure(obj, pred vocab.TermID) []vocab.TermID {
-	if s.frozen {
-		return s.closureOf(pred).bwd[obj]
-	}
-	if len(s.byPO[spKey{pred, obj}]) == 0 {
-		return nil
-	}
-	return bfsClosure(obj, func(x vocab.TermID) []vocab.TermID {
-		return s.byPO[spKey{pred, x}]
-	})
-}
-
-func bfsClosure(start vocab.TermID, next func(vocab.TermID) []vocab.TermID) []vocab.TermID {
-	seen := map[vocab.TermID]bool{start: true}
-	stack := []vocab.TermID{start}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, n := range next(x) {
-			if !seen[n] {
-				seen[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	out := make([]vocab.TermID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.closureOf(pred).bwd[obj]
 }
 
 // Reaches reports a path of zero or more pred edges from subj to obj. When
@@ -181,16 +144,14 @@ func (s *Store) Reaches(subj, pred, obj vocab.TermID) bool {
 	if subj == obj {
 		return true // zero-length path
 	}
-	if s.frozen {
-		s.closeMu.RLock()
-		c := s.closures[pred]
-		s.closeMu.RUnlock()
-		if c != nil {
-			s.closureWarm.Add(1)
-			l := c.fwd[subj]
-			i := sort.Search(len(l), func(i int) bool { return l[i] >= obj })
-			return i < len(l) && l[i] == obj
-		}
+	s.closeMu.RLock()
+	c := s.closures[pred]
+	s.closeMu.RUnlock()
+	if c != nil {
+		s.closureWarm.Add(1)
+		l := c.fwd[subj]
+		i := sort.Search(len(l), func(i int) bool { return l[i] >= obj })
+		return i < len(l) && l[i] == obj
 	}
 	// Early-exit BFS: no sort, no closure materialization.
 	seen := map[vocab.TermID]bool{subj: true}
@@ -198,7 +159,7 @@ func (s *Store) Reaches(subj, pred, obj vocab.TermID) bool {
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, n := range s.bySP[spKey{x, pred}] {
+		for _, n := range s.Objects(x, pred) {
 			if n == obj {
 				return true
 			}
@@ -214,53 +175,41 @@ func (s *Store) Reaches(subj, pred, obj vocab.TermID) bool {
 // ClosurePairs returns every (s, o) pair with o reachable from s by zero or
 // more pred edges, over the nodes the predicate's facts mention: pure
 // objects contribute their zero-length pair, subjects their full forward
-// closure. Sorted by (S, O), duplicate-free. On a frozen store the result is
-// a shared index slice; do not modify.
+// closure. Sorted by (S, O), duplicate-free. The result is a shared index
+// slice; do not modify.
 func (s *Store) ClosurePairs(pred vocab.TermID) []Edge {
-	if s.frozen {
-		return s.closureOf(pred).pairs
-	}
-	// Unfrozen fallback: build a throwaway index.
-	return s.buildClosure(pred).pairs
+	return s.closureOf(pred).pairs
 }
 
 // StarStats returns the size of the predicate's reachability relation and
 // the number of nodes its facts mention — the selectivity statistics the
 // query planner uses to order `p*` patterns.
 func (s *Store) StarStats(pred vocab.TermID) (pairs, nodes int) {
-	if !s.frozen {
-		c := s.buildClosure(pred)
-		return len(c.pairs), c.nodes
-	}
 	c := s.closureOf(pred)
 	return len(c.pairs), c.nodes
 }
 
 // PredStats returns the fact count and the number of distinct subjects and
 // objects stored under a predicate — the planner's estimates for half-bound
-// triple patterns. Memoized on frozen stores.
+// triple patterns. Memoized.
 func (s *Store) PredStats(pred vocab.TermID) (facts, subjects, objects int) {
-	if s.frozen {
-		s.closeMu.RLock()
-		st, ok := s.predStats[pred]
-		s.closeMu.RUnlock()
-		if ok {
-			return st.facts, st.subjects, st.objects
-		}
+	s.closeMu.RLock()
+	st, ok := s.predStats[pred]
+	s.closeMu.RUnlock()
+	if ok {
+		return st.facts, st.subjects, st.objects
 	}
 	subj := make(map[vocab.TermID]struct{})
 	obj := make(map[vocab.TermID]struct{})
-	fs := s.byP[pred]
+	fs := s.FactsWithPredicate(pred)
 	for _, f := range fs {
 		subj[f.S] = struct{}{}
 		obj[f.O] = struct{}{}
 	}
 	facts, subjects, objects = len(fs), len(subj), len(obj)
-	if s.frozen {
-		s.closeMu.Lock()
-		s.predStats[pred] = predStat{facts: facts, subjects: subjects, objects: objects}
-		s.closeMu.Unlock()
-	}
+	s.closeMu.Lock()
+	s.predStats[pred] = predStat{facts: facts, subjects: subjects, objects: objects}
+	s.closeMu.Unlock()
 	return facts, subjects, objects
 }
 

@@ -203,7 +203,12 @@ func tokenizeLine(line string) ([]token, error) {
 func Write(w io.Writer, s *Store) error {
 	bw := bufio.NewWriter(w)
 	v := s.Vocabulary()
+	coveredE := make(map[vocab.TermID]bool)
+	coveredR := make(map[vocab.TermID]bool)
 	for _, f := range s.AllFacts() {
+		coveredE[f.S] = true
+		coveredE[f.O] = true
+		coveredR[f.P] = true
 		if _, err := fmt.Fprintf(bw, "%s %s %s\n",
 			quoteIfNeeded(v.ElementName(f.S)),
 			v.RelationName(f.P),
@@ -241,13 +246,6 @@ func Write(w io.Writer, s *Store) error {
 	}
 	// Vocabulary terms covered by no fact survive as declarations (e.g.
 	// relations that occur only in personal histories and queries).
-	coveredE := make(map[vocab.TermID]bool, len(s.facts))
-	coveredR := make(map[vocab.TermID]bool, len(s.byP))
-	for f := range s.facts {
-		coveredE[f.S] = true
-		coveredE[f.O] = true
-		coveredR[f.P] = true
-	}
 	for e := range s.labels {
 		coveredE[e] = true
 	}

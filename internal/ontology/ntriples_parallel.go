@@ -12,64 +12,57 @@ import (
 	"oassis/internal/vocab"
 )
 
-// This file is the parallel N-Triples ingestion pipeline. The serial
-// LoadNTriples (ntriples.go) stays as the reference implementation; this
-// pipeline produces a byte-identical vocabulary, store and stats while
-// spreading the expensive work — tokenizing, escape decoding, IRI→name
-// mapping and term interning — across every core. Stages:
+// This file is the N-Triples loader, a parallel pipeline. It spreads the
+// expensive work — tokenizing, escape decoding, IRI→name mapping and term
+// interning — across every core, yet its vocabulary, store, stats and error
+// positions are byte-identical to a serial line-by-line load (the tests keep
+// that serial loader as their reference). Stages:
 //
 //  1. A chunked reader splits the input into ~1 MiB chunks on line
 //     boundaries and fans them to workers.
-//  2. Per-core workers parse their chunk's lines with the same parser the
-//     serial path uses, intern every derived name through a sharded
-//     read-mostly interner (vocab.ShardedInterner) receiving *provisional*
-//     IDs, and emit a compact op per line.
+//  2. Per-core workers parse their chunk's lines, intern every derived name
+//     through a sharded read-mostly interner (vocab.ShardedInterner)
+//     receiving *provisional* IDs, and emit a compact op per line.
 //  3. A serial merge replays the ops in input order, assigning final
-//     vocab.TermIDs at first occurrence — the same order the serial loader
-//     interns in — and replaying order edges and errors at their exact
-//     lines. This phase touches only integer remap arrays plus one
-//     map lookup per *unique* term, so it is cheap relative to parsing.
-//  4. Facts are deduplicated in hash shards and the three store indexes
-//     (bySP/byPO/byP) plus the fact set are built by concurrent builders,
-//     overlapped with the vocabulary freeze; Store.Freeze then sorts the
-//     index slices with a parallel worker pool.
+//     vocab.TermIDs at first occurrence — the order a serial load interns
+//     in — and replaying order edges and errors at their exact lines. This
+//     phase touches only integer remap arrays plus one map lookup per
+//     *unique* term, so it is cheap relative to parsing.
+//  4. Store.Freeze deduplicates the fact stream and builds the sorted
+//     columns; then the vocabulary freezes.
 //
 // Determinism argument: provisional IDs are scheduling-dependent, but they
 // are resolved to final IDs only by the merge, which walks ops strictly in
-// input order and interns sub-line names in the exact sequence addNTriple
-// does. Order edges are replayed in the same sequence, so the vocabulary's
-// topological order is identical; store indexes are sets sorted at Freeze,
-// so their construction order is immaterial. See DESIGN.md §12.
+// input order and interns sub-line names in the exact sequence a serial
+// load does. Order edges are replayed in the same sequence, so the
+// vocabulary's topological order is identical; the store's columns are
+// sorted sets, so the order facts arrive in is immaterial. See DESIGN.md
+// §12.
 
-// LoadOptions tunes LoadNTriplesParallel. The zero value picks defaults.
+// LoadOptions tunes LoadNTriples. The zero value loads unobserved.
 type LoadOptions struct {
-	// Workers is the parse worker count; <= 0 uses GOMAXPROCS.
-	Workers int
-	// ChunkBytes is the reader chunk size; <= 0 uses 1 MiB.
-	ChunkBytes int
 	// Obs, when set, feeds the ingest counters and records per-stage spans
 	// (ingest_parse, ingest_merge, ingest_index, ingest_freeze) on the
 	// trace. Nil disables observation.
 	Obs *obs.Observer
 }
 
-// maxNTripleLine caps a single input line, matching the serial scanner's
-// 16 MiB token limit (and its bufio.ErrTooLong failure mode).
+// maxNTripleLine caps a single input line at 16 MiB; a longer line fails
+// with bufio.ErrTooLong.
 const maxNTripleLine = 16 * 1024 * 1024
 
-// LoadNTriplesParallel parses N-Triples into a fresh vocabulary and store,
-// freezing both — exactly like LoadNTriples, but on every core. The result
-// (TermIDs, order edges, indexes, labels, stats, and error positions) is
-// byte-identical to the serial loader's.
-func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunkBytes := opt.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
-	}
+// loadChunkBytes is the reader's chunk size.
+const loadChunkBytes = 1 << 20
+
+// LoadNTriples parses N-Triples into a fresh vocabulary and store, freezing
+// both, with one parse worker per GOMAXPROCS.
+func LoadNTriples(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
+	return loadNTriples(r, runtime.GOMAXPROCS(0), loadChunkBytes, opt)
+}
+
+// loadNTriples is LoadNTriples with the worker count and chunk size given,
+// so tests can put lines on every chunk boundary.
+func loadNTriples(r io.Reader, workers, chunkBytes int, opt LoadOptions) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
 	tr := opt.Obs.Trace()
 	im := opt.Obs.IngestSet()
 	loadStart := tr.Begin()
@@ -93,30 +86,23 @@ func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Sto
 	v := vocab.New()
 	s := NewStore(v)
 	stats := &NTriplesStats{}
-	facts, err := mergeOps(results, v, s, stats, ei, ri)
-	tr.End("ingest_merge", mergeStart, obs.Attr{Key: "facts", Val: int64(len(facts))})
+	err := mergeOps(results, v, s, stats, ei, ri)
+	tr.End("ingest_merge", mergeStart, obs.Attr{Key: "facts", Val: int64(len(s.pending))})
 	if err != nil {
 		im.LoadFailed()
 		return nil, nil, nil, err
 	}
 
-	// Stage 4: store build overlapped with the vocabulary freeze.
-	buildStart := tr.Begin()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buildStoreIndexes(s, facts, workers)
-	}()
-	freezeErr := v.Freeze()
-	<-done
-	if freezeErr != nil {
-		im.LoadFailed()
-		return nil, nil, nil, fmt.Errorf("ntriples: %w", freezeErr)
-	}
-	tr.End("ingest_index", buildStart, obs.Attr{Key: "unique_facts", Val: int64(s.Size())})
+	// Stage 4: the store's columns, then the vocabulary.
+	indexStart := tr.Begin()
+	s.Freeze()
+	tr.End("ingest_index", indexStart, obs.Attr{Key: "unique_facts", Val: int64(s.Size())})
 
 	freezeStart := tr.Begin()
-	s.Freeze()
+	if err := v.Freeze(); err != nil {
+		im.LoadFailed()
+		return nil, nil, nil, fmt.Errorf("ntriples: %w", err)
+	}
 	tr.End("ingest_freeze", freezeStart)
 
 	im.LoadDone(stats.Triples, stats.Facts, stats.Labels,
@@ -235,9 +221,9 @@ func readChunks(r io.Reader, chunkBytes int, out chan<- ntChunk) {
 	}
 }
 
-// parseChunk tokenizes one chunk with the serial path's line parser and
-// interns every derived name, emitting one op per line. It stops at the
-// chunk's first malformed line, mirroring the serial loader's abort.
+// parseChunk tokenizes one chunk's lines with parseNTriple and interns
+// every derived name, emitting one op per line. It stops at the chunk's
+// first malformed line: the load aborts there.
 func parseChunk(data []byte, ei, ri *vocab.ShardedInterner) *chunkResult {
 	res := &chunkResult{ops: make([]ingestOp, 0, bytes.Count(data, []byte{'\n'})+1)}
 	for start := 0; start < len(data); {
@@ -270,8 +256,9 @@ func parseChunk(data []byte, ei, ri *vocab.ShardedInterner) *chunkResult {
 	return res
 }
 
-// addOp lowers one parsed triple to an op, interning names in the exact
-// order addNTriple does so the merge can replay first occurrences.
+// addOp lowers one parsed triple to an op, interning its names in the
+// order a serial load interns them, so the merge replays first occurrences
+// in that order.
 func (res *chunkResult) addOp(t ntriple, line int32, ei, ri *vocab.ShardedInterner) {
 	if t.blank {
 		res.ops = append(res.ops, ingestOp{kind: opSkipBlank, line: line})
@@ -309,9 +296,9 @@ func (res *chunkResult) addOp(t ntriple, line int32, ei, ri *vocab.ShardedIntern
 		rel = localName(t.pred)
 	}
 	kind := opFactPlain
-	// The serial path keys the ordering decision on the derived relation
-	// name, not the predicate IRI, so any IRI whose local name collides
-	// with subClassOf/instanceOf orders elements too. Mirror that.
+	// The ordering decision keys on the derived relation name, not the
+	// predicate IRI, so any IRI whose local name collides with
+	// subClassOf/instanceOf orders elements too.
 	if rel == RelSubClassOf || rel == RelInstanceOf {
 		kind = opFactOrder
 	}
@@ -323,10 +310,11 @@ func (res *chunkResult) addOp(t ntriple, line int32, ei, ri *vocab.ShardedIntern
 
 // mergeOps replays the per-chunk ops in input order against a fresh
 // vocabulary, assigning final TermIDs in first-occurrence order, recording
-// labels and order edges, and accumulating the (not yet deduplicated) fact
-// stream. Errors — parse failures and vocabulary violations alike — surface
-// at the same absolute line, with the same message, as the serial loader's.
-func mergeOps(results []*chunkResult, v *vocab.Vocabulary, s *Store, stats *NTriplesStats, ei, ri *vocab.ShardedInterner) ([]Fact, error) {
+// labels and order edges, and appending the (not yet deduplicated) fact
+// stream to the store. Errors — parse failures and vocabulary violations
+// alike — surface at their absolute line, with the same message a serial
+// load gives.
+func mergeOps(results []*chunkResult, v *vocab.Vocabulary, s *Store, stats *NTriplesStats, ei, ri *vocab.ShardedInterner) error {
 	remapE := newRemap(ei.ProvBound())
 	remapR := newRemap(ri.ProvBound())
 	elemID := func(prov uint32) (vocab.TermID, error) {
@@ -360,7 +348,7 @@ func mergeOps(results []*chunkResult, v *vocab.Vocabulary, s *Store, stats *NTri
 			}
 		}
 	}
-	facts := make([]Fact, 0, nFacts)
+	s.pending = make([]Fact, 0, nFacts)
 
 	base := 0
 	for _, cr := range results {
@@ -384,60 +372,60 @@ func mergeOps(results []*chunkResult, v *vocab.Vocabulary, s *Store, stats *NTri
 				stats.Triples++
 				e, err := elemID(op.a)
 				if err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 				if _, err := relID(op.b); err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 				stats.Labels++
 				if err := s.AddLabel(e, op.lit); err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 			case opSubProp:
 				stats.Triples++
 				spec, err := relID(op.a)
 				if err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 				gen, err := relID(op.b)
 				if err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 				if err := v.OrderRelations(gen, spec); err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 			case opFactPlain, opFactOrder:
 				stats.Triples++
 				se, err := elemID(op.a)
 				if err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 				oe, err := elemID(op.b)
 				if err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 				p, err := relID(op.c)
 				if err != nil {
-					return nil, lineErr(err)
+					return lineErr(err)
 				}
 				if op.kind == opFactOrder {
 					if err := v.OrderElements(oe, se); err != nil {
-						return nil, lineErr(err)
+						return lineErr(err)
 					}
 				}
 				stats.Facts++
-				facts = append(facts, Fact{S: se, P: p, O: oe})
+				s.pending = append(s.pending, Fact{S: se, P: p, O: oe})
 			}
 		}
 		if cr.err != nil {
 			if cr.errLine <= 0 {
-				return nil, fmt.Errorf("ntriples: %w", cr.err)
+				return fmt.Errorf("ntriples: %w", cr.err)
 			}
-			return nil, fmt.Errorf("ntriples: line %d: %w", base+int(cr.errLine), cr.err)
+			return fmt.Errorf("ntriples: line %d: %w", base+int(cr.errLine), cr.err)
 		}
 		base += cr.lines
 	}
-	return facts, nil
+	return nil
 }
 
 func newRemap(bound uint32) []vocab.TermID {
@@ -446,106 +434,4 @@ func newRemap(bound uint32) []vocab.TermID {
 		m[i] = vocab.NoTerm
 	}
 	return m
-}
-
-// --- stage 4: parallel store construction ---
-
-// smallStoreThreshold is the fact-stream size below which fanning index
-// construction out to goroutines costs more than it saves.
-const smallStoreThreshold = 4096
-
-// buildStoreIndexes populates the store's fact set and the three
-// triple-pattern indexes from the merged fact stream. Duplicate facts are
-// dropped exactly as repeated Store.Add calls would drop them; the indexes
-// are sets whose slices Store.Freeze sorts, so build order is immaterial.
-func buildStoreIndexes(s *Store, facts []Fact, workers int) {
-	if len(facts) < smallStoreThreshold || workers <= 1 {
-		for _, f := range facts {
-			s.MustAdd(f)
-		}
-		return
-	}
-
-	// Deduplicate in hash shards, in parallel.
-	shards := workers
-	if shards > 16 {
-		shards = 16
-	}
-	uniq := make([][]Fact, shards)
-	var wg sync.WaitGroup
-	for p := 0; p < shards; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			seen := make(map[Fact]struct{}, len(facts)/shards+1)
-			var u []Fact
-			for _, f := range facts {
-				if factShard(f, shards) != p {
-					continue
-				}
-				if _, dup := seen[f]; dup {
-					continue
-				}
-				seen[f] = struct{}{}
-				u = append(u, f)
-			}
-			uniq[p] = u
-		}(p)
-	}
-	wg.Wait()
-	n := 0
-	for _, u := range uniq {
-		n += len(u)
-	}
-
-	// Build the fact set and each index concurrently: four independent
-	// passes over the deduplicated stream.
-	wg.Add(4)
-	go func() {
-		defer wg.Done()
-		m := make(map[Fact]struct{}, n)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[f] = struct{}{}
-			}
-		}
-		s.facts = m
-	}()
-	go func() {
-		defer wg.Done()
-		m := make(map[spKey][]vocab.TermID, n/2+1)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[spKey{f.S, f.P}] = append(m[spKey{f.S, f.P}], f.O)
-			}
-		}
-		s.bySP = m
-	}()
-	go func() {
-		defer wg.Done()
-		m := make(map[spKey][]vocab.TermID, n/2+1)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[spKey{f.P, f.O}] = append(m[spKey{f.P, f.O}], f.S)
-			}
-		}
-		s.byPO = m
-	}()
-	go func() {
-		defer wg.Done()
-		m := make(map[vocab.TermID][]Fact, 64)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[f.P] = append(m[f.P], f)
-			}
-		}
-		s.byP = m
-	}()
-	wg.Wait()
-}
-
-// factShard hashes a fact to a dedup shard.
-func factShard(f Fact, shards int) int {
-	h := uint32(f.S)*2654435761 ^ uint32(f.P)*40503 ^ uint32(f.O)*2246822519
-	return int(h % uint32(shards))
 }

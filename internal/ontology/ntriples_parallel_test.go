@@ -1,6 +1,7 @@
 package ontology_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"oassis/internal/obs"
 	"oassis/internal/ontology"
+	"oassis/internal/synth"
 	"oassis/internal/vocab"
 )
 
@@ -101,12 +103,13 @@ func randomNTriples(rng *rand.Rand, lines int) string {
 	return sb.String()
 }
 
-// requireSameLoad loads nt through the serial and the parallel pipeline and
-// fails unless vocabulary, store, stats and errors are byte-identical.
-func requireSameLoad(t *testing.T, nt string, opt ontology.LoadOptions) {
+// requireSameLoad loads nt through the serial reference loader and through
+// LoadNTriples with the given worker count and chunk size, and fails unless
+// vocabulary, store, stats and errors are byte-identical.
+func requireSameLoad(t *testing.T, nt string, workers, chunkBytes int) {
 	t.Helper()
-	sv, ss, sstats, serr := ontology.LoadNTriples(strings.NewReader(nt))
-	pv, ps, pstats, perr := ontology.LoadNTriplesParallel(strings.NewReader(nt), opt)
+	sv, ss, sstats, serr := ontology.LoadNTriplesSerial(strings.NewReader(nt))
+	pv, ps, pstats, perr := ontology.LoadNTriplesWith(strings.NewReader(nt), workers, chunkBytes, ontology.LoadOptions{})
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("error divergence: serial=%v parallel=%v", serr, perr)
 	}
@@ -216,8 +219,8 @@ func equalIDs(a, b []vocab.TermID) bool {
 	return true
 }
 
-// TestParallelNTriplesDifferential pins the parallel loader byte-identical
-// to the serial reference across 120 randomized documents, sweeping worker
+// TestParallelNTriplesDifferential pins LoadNTriples byte-identical to the
+// serial reference across 120 randomized documents, sweeping worker
 // counts and deliberately tiny chunk sizes so lines land on every possible
 // chunk boundary.
 func TestParallelNTriplesDifferential(t *testing.T) {
@@ -226,18 +229,50 @@ func TestParallelNTriplesDifferential(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nt := randomNTriples(rng, 40+rng.Intn(300))
-		opt := ontology.LoadOptions{
-			Workers:    workerCounts[seed%int64(len(workerCounts))],
-			ChunkBytes: chunkSizes[seed%int64(len(chunkSizes))],
-		}
-		t.Run(fmt.Sprintf("seed=%d/w=%d/chunk=%d", seed, opt.Workers, opt.ChunkBytes), func(t *testing.T) {
-			requireSameLoad(t, nt, opt)
+		workers := workerCounts[seed%int64(len(workerCounts))]
+		chunk := chunkSizes[seed%int64(len(chunkSizes))]
+		t.Run(fmt.Sprintf("seed=%d/w=%d/chunk=%d", seed, workers, chunk), func(t *testing.T) {
+			requireSameLoad(t, nt, workers, chunk)
 		})
 	}
 }
 
-// TestParallelNTriplesErrorPositions pins that malformed lines abort the
-// parallel loader with the serial loader's exact error — same line number,
+// TestScaleIngestSerialParallelAgree loads the smoke-scale fleet ontology
+// (synth.WriteScaleNTriples) both ways: the generator's IRI spellings, its
+// size and its repeated facts meet the serial reference at default chunking.
+func TestScaleIngestSerialParallelAgree(t *testing.T) {
+	cfg := synth.SmokeScale()
+	var buf bytes.Buffer
+	if err := synth.WriteScaleNTriples(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	sv, ss, sstats, err := ontology.LoadNTriplesSerial(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv, ps, pstats, err := ontology.LoadNTriples(bytes.NewReader(buf.Bytes()), ontology.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *sstats != *pstats {
+		t.Fatalf("stats divergence: %+v vs %+v", *sstats, *pstats)
+	}
+	requireSameVocab(t, sv, pv)
+	requireSameStore(t, ss, ps, sv)
+	if pstats.Triples != cfg.TripleCount() {
+		t.Fatalf("parsed %d triples, generator claims %d", pstats.Triples, cfg.TripleCount())
+	}
+	// The generated names must round-trip into the vocabulary, including
+	// the percent-encoded IRI spellings.
+	for _, name := range []string{synth.ScaleClassName(3), synth.ScaleClassName(10), synth.ScaleInstName(4), synth.ScaleInstName(0)} {
+		if pv.Element(name) == vocab.NoTerm {
+			t.Fatalf("element %q missing from vocabulary", name)
+		}
+	}
+}
+
+// TestParallelNTriplesErrorPositions pins that malformed lines abort
+// LoadNTriples with the serial loader's exact error — same line number,
 // same message — wherever the bad line falls relative to chunk boundaries.
 func TestParallelNTriplesErrorPositions(t *testing.T) {
 	bad := []string{
@@ -254,9 +289,8 @@ func TestParallelNTriplesErrorPositions(t *testing.T) {
 		pos := rng.Intn(len(lines) + 1)
 		lines = append(lines[:pos], append([]string{bad[rng.Intn(len(bad))]}, lines[pos:]...)...)
 		nt := strings.Join(lines, "\n") + "\n"
-		opt := ontology.LoadOptions{Workers: 1 + int(seed%4), ChunkBytes: 32 + int(seed%5)*97}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			requireSameLoad(t, nt, opt)
+			requireSameLoad(t, nt, 1+int(seed%4), 32+int(seed%5)*97)
 		})
 	}
 }
@@ -282,19 +316,19 @@ func TestParallelNTriplesEdgeCases(t *testing.T) {
 	for name, nt := range cases {
 		for _, chunk := range []int{9, 4096} {
 			t.Run(fmt.Sprintf("%s/chunk=%d", name, chunk), func(t *testing.T) {
-				requireSameLoad(t, nt, ontology.LoadOptions{Workers: 4, ChunkBytes: chunk})
+				requireSameLoad(t, nt, 4, chunk)
 			})
 		}
 	}
 }
 
-// TestParallelNTriplesConcurrentIngest runs several whole parallel loads at
-// once with maximum fan-out — the -race CI job turns this into a data-race
-// detector over the interner, chunk pipeline and index builders.
+// TestParallelNTriplesConcurrentIngest runs several whole loads at once
+// with maximum fan-out — the -race CI job turns this into a data-race
+// detector over the interner and the chunk pipeline.
 func TestParallelNTriplesConcurrentIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nt := randomNTriples(rng, 3000)
-	sv, ss, sstats, err := ontology.LoadNTriples(strings.NewReader(nt))
+	sv, ss, sstats, err := ontology.LoadNTriplesSerial(strings.NewReader(nt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +337,7 @@ func TestParallelNTriplesConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pv, ps, pstats, err := ontology.LoadNTriplesParallel(strings.NewReader(nt),
-				ontology.LoadOptions{Workers: 8, ChunkBytes: 2048})
+			pv, ps, pstats, err := ontology.LoadNTriplesWith(strings.NewReader(nt), 8, 2048, ontology.LoadOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -319,30 +352,19 @@ func TestParallelNTriplesConcurrentIngest(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkNTriplesLoad compares the serial reference loader against the
-// parallel pipeline on the same synthetic document (~60k triples). CI runs
-// this in bench-smoke; the interesting figure is the serial/parallel ratio
-// on multi-core hardware (the pipeline degrades to near-serial on 1 CPU).
+// BenchmarkNTriplesLoad times LoadNTriples on a synthetic document (~60k
+// triples). CI runs it once in bench-smoke as a smoke test; load times at
+// scale come from the fleet-where workload of perfbench.
 func BenchmarkNTriplesLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	nt := randomNTriples(rng, 60000)
 	b.Logf("document: %.1f MiB", float64(len(nt))/(1<<20))
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(int64(len(nt)))
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt)); err != nil {
-				b.Fatal(err)
-			}
+	b.SetBytes(int64(len(nt)))
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.SetBytes(int64(len(nt)))
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := ontology.LoadNTriplesParallel(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // TestParallelNTriplesObs checks the ingest observability satellite: the
@@ -351,8 +373,7 @@ func TestParallelNTriplesObs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	nt := randomNTriples(rng, 500)
 	o := obs.New()
-	_, _, stats, err := ontology.LoadNTriplesParallel(strings.NewReader(nt),
-		ontology.LoadOptions{Workers: 2, ChunkBytes: 512, Obs: o})
+	_, store, stats, err := ontology.LoadNTriplesWith(strings.NewReader(nt), 2, 512, ontology.LoadOptions{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +390,17 @@ func TestParallelNTriplesObs(t *testing.T) {
 	spans := map[string]bool{}
 	for _, sp := range o.Tracer.Spans() {
 		spans[sp.Name] = true
+		if sp.Name != "ingest_index" {
+			continue
+		}
+		// The document repeats facts, so the deduplicated count is
+		// below stats.Facts.
+		if len(sp.Attrs) != 1 || sp.Attrs[0].Key != "unique_facts" || sp.Attrs[0].Val != int64(store.Size()) {
+			t.Errorf("ingest_index attrs = %+v, want unique_facts = %d", sp.Attrs, store.Size())
+		}
+		if store.Size() >= stats.Facts {
+			t.Errorf("unique facts %d not below parsed facts %d", store.Size(), stats.Facts)
+		}
 	}
 	for _, want := range []string{"ingest_parse", "ingest_merge", "ingest_index", "ingest_freeze"} {
 		if !spans[want] {
@@ -376,15 +408,14 @@ func TestParallelNTriplesObs(t *testing.T) {
 		}
 	}
 	// Malformed input counts on the malformed counter.
-	if _, _, _, err := ontology.LoadNTriplesParallel(strings.NewReader("garbage\n"),
-		ontology.LoadOptions{Obs: o}); err == nil {
+	if _, _, _, err := ontology.LoadNTriples(strings.NewReader("garbage\n"), ontology.LoadOptions{Obs: o}); err == nil {
 		t.Fatal("expected parse error")
 	}
 	if im.Malformed.Value() != 1 {
 		t.Errorf("malformed counter = %d, want 1", im.Malformed.Value())
 	}
 	// Nil observer: everything above must be a no-op, not a panic.
-	if _, _, _, err := ontology.LoadNTriplesParallel(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
+	if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

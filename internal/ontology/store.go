@@ -2,7 +2,6 @@ package ontology
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,19 +14,26 @@ import (
 // patterns such as `$x hasLabel "child-friendly"`).
 //
 // A Store is built incrementally and frozen together with its vocabulary
-// before query evaluation.
+// before query evaluation. Add only appends; Freeze deduplicates the facts
+// and lays them out in three sorted orders (see DESIGN.md §12). Every
+// lookup is defined on a frozen store only.
 type Store struct {
-	v     *vocab.Vocabulary
-	facts map[Fact]struct{}
-
-	// Indexes. The slices are sorted at Freeze time for determinism.
-	bySP map[spKey][]vocab.TermID // (subject, predicate) -> objects
-	byPO map[spKey][]vocab.TermID // (predicate, object) -> subjects
-	byP  map[vocab.TermID][]Fact  // predicate -> facts
+	v       *vocab.Vocabulary
+	pending []Fact // facts added before Freeze, duplicates included
 
 	labels map[vocab.TermID]map[string]bool // element -> label set
 
 	frozen bool
+
+	// Frozen columns. pso holds every distinct fact in (P,S,O) order;
+	// pOff[p]:pOff[p+1] is predicate p's range. The (S,P,O) order is kept
+	// as the columns spP/spO with subject offsets sOff, the (O,P,S) order
+	// as opP/opS with object offsets oOff.
+	pso        []Fact
+	pOff       []int
+	sOff, oOff []int
+	spP, spO   []vocab.TermID
+	opP, opS   []vocab.TermID
 
 	// Frozen-store memos. predList and labelIdx are built once at Freeze;
 	// the per-predicate closure indexes and stats are built lazily, on
@@ -68,16 +74,10 @@ func (s *Store) ClosureStats() ClosureCacheStats {
 	return ClosureCacheStats{Cold: s.closureCold.Load(), Warm: s.closureWarm.Load()}
 }
 
-type spKey struct{ a, b vocab.TermID }
-
 // NewStore returns an empty ontology over the given vocabulary.
 func NewStore(v *vocab.Vocabulary) *Store {
 	return &Store{
 		v:         v,
-		facts:     make(map[Fact]struct{}),
-		bySP:      make(map[spKey][]vocab.TermID),
-		byPO:      make(map[spKey][]vocab.TermID),
-		byP:       make(map[vocab.TermID][]Fact),
 		labels:    make(map[vocab.TermID]map[string]bool),
 		closures:  make(map[vocab.TermID]*pathClosure),
 		predStats: make(map[vocab.TermID]predStat),
@@ -87,18 +87,16 @@ func NewStore(v *vocab.Vocabulary) *Store {
 // Vocabulary returns the vocabulary the store is defined over.
 func (s *Store) Vocabulary() *vocab.Vocabulary { return s.v }
 
-// Add inserts a fact. Duplicate inserts are ignored.
+// Add inserts a fact. Duplicate inserts are ignored. Fact positions must
+// hold term IDs, not the Any wildcard.
 func (s *Store) Add(f Fact) error {
 	if s.frozen {
 		return fmt.Errorf("ontology: Add after Freeze")
 	}
-	if _, ok := s.facts[f]; ok {
-		return nil
+	if f.S < 0 || f.P < 0 || f.O < 0 {
+		return fmt.Errorf("ontology: fact %v holds a negative term ID", f)
 	}
-	s.facts[f] = struct{}{}
-	s.bySP[spKey{f.S, f.P}] = append(s.bySP[spKey{f.S, f.P}], f.O)
-	s.byPO[spKey{f.P, f.O}] = append(s.byPO[spKey{f.P, f.O}], f.S)
-	s.byP[f.P] = append(s.byP[f.P], f)
+	s.pending = append(s.pending, f)
 	return nil
 }
 
@@ -129,54 +127,50 @@ func (s *Store) HasLabel(e vocab.TermID, label string) bool {
 }
 
 // LabeledElements returns all elements carrying the label, sorted by ID.
-// On a frozen store the result is a shared index slice; do not modify it.
+// The result is a shared index slice; do not modify it.
 func (s *Store) LabeledElements(label string) []vocab.TermID {
-	if s.frozen {
-		return s.labelIdx[label]
-	}
-	var out []vocab.TermID
-	for e, m := range s.labels {
-		if m[label] {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.labelIdx[label]
 }
 
-// freezeSortParallelThreshold is the fact count above which Freeze fans the
-// per-key index sorts out to a worker pool. Sorting is deterministic either
-// way; the threshold only avoids goroutine overhead on small stores.
-const freezeSortParallelThreshold = 1 << 16
-
-// Freeze sorts all indexes; the store becomes immutable. On large stores
-// the independent per-key sorts run on a GOMAXPROCS-wide worker pool (the
-// result is identical — every slice is sorted with the same comparator).
+// Freeze builds the sorted columns; the store becomes immutable.
+//
+// Term IDs are dense, so each order comes from stable counting sorts
+// (linear in facts plus IDs): the pending facts are sorted by O, then S,
+// then P, which leaves them in (P,S,O) order with duplicates adjacent.
+// Scattering that order stably by subject yields (S,P,O), and by object
+// (O,P,S).
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
-	if workers := runtime.GOMAXPROCS(0); len(s.facts) >= freezeSortParallelThreshold && workers > 1 {
-		s.sortIndexesParallel(workers)
-	} else {
-		for k := range s.bySP {
-			ids := s.bySP[k]
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
-		for k := range s.byPO {
-			ids := s.byPO[k]
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
-		for p := range s.byP {
-			fs := s.byP[p]
-			sort.Slice(fs, func(i, j int) bool { return fs[i].Less(fs[j]) })
+	var nE, nP vocab.TermID
+	for _, f := range s.pending {
+		nE = max(nE, f.S+1, f.O+1)
+		nP = max(nP, f.P+1)
+	}
+	a, b := s.pending, make([]Fact, len(s.pending))
+	countingSort(b, a, int(nE), func(f *Fact) vocab.TermID { return f.O })
+	countingSort(a, b, int(nE), func(f *Fact) vocab.TermID { return f.S })
+	countingSort(b, a, int(nP), func(f *Fact) vocab.TermID { return f.P })
+	s.pso = b[:0]
+	for i, f := range b {
+		if i == 0 || f != b[i-1] {
+			s.pso = append(s.pso, f)
 		}
 	}
-	s.predList = make([]vocab.TermID, 0, len(s.byP))
-	for p := range s.byP {
-		s.predList = append(s.predList, p)
+	s.pending = nil
+
+	s.pOff = bucketOffsets(s.pso, int(nP), func(f *Fact) vocab.TermID { return f.P })
+	s.sOff, s.spP, s.spO = scatter(s.pso, int(nE),
+		func(f *Fact) (key, a, b vocab.TermID) { return f.S, f.P, f.O })
+	s.oOff, s.opP, s.opS = scatter(s.pso, int(nE),
+		func(f *Fact) (key, a, b vocab.TermID) { return f.O, f.P, f.S })
+
+	for p := 0; p < int(nP); p++ {
+		if s.pOff[p+1] > s.pOff[p] {
+			s.predList = append(s.predList, vocab.TermID(p))
+		}
 	}
-	sort.Slice(s.predList, func(i, j int) bool { return s.predList[i] < s.predList[j] })
 	s.labelIdx = make(map[string][]vocab.TermID)
 	for e, m := range s.labels {
 		for label := range m {
@@ -190,60 +184,69 @@ func (s *Store) Freeze() {
 	s.frozen = true
 }
 
-// sortIndexesParallel distributes the per-key sorts of bySP/byPO/byP over a
-// worker pool. Each slice is independent, so workers pull them off shared
-// work lists with an atomic cursor.
-func (s *Store) sortIndexesParallel(workers int) {
-	idSlices := make([][]vocab.TermID, 0, len(s.bySP)+len(s.byPO))
-	for k := range s.bySP {
-		idSlices = append(idSlices, s.bySP[k])
+// countingSort stably orders src into dst by key, which lies in [0, n).
+func countingSort(dst, src []Fact, n int, key func(*Fact) vocab.TermID) {
+	next := bucketOffsets(src, n, key)
+	for i := range src {
+		k := key(&src[i])
+		dst[next[k]] = src[i]
+		next[k]++
 	}
-	for k := range s.byPO {
-		idSlices = append(idSlices, s.byPO[k])
+}
+
+// scatter stably lays facts out by the key that split returns, keeping the
+// other two positions as columns, and returns the n+1 key offsets with the
+// columns.
+func scatter(facts []Fact, n int, split func(*Fact) (key, a, b vocab.TermID)) (off []int, colA, colB []vocab.TermID) {
+	off = bucketOffsets(facts, n, func(f *Fact) vocab.TermID { k, _, _ := split(f); return k })
+	next := append([]int(nil), off[:n]...)
+	colA = make([]vocab.TermID, len(facts))
+	colB = make([]vocab.TermID, len(facts))
+	for i := range facts {
+		k, x, y := split(&facts[i])
+		colA[next[k]], colB[next[k]] = x, y
+		next[k]++
 	}
-	factSlices := make([][]Fact, 0, len(s.byP))
-	for p := range s.byP {
-		factSlices = append(factSlices, s.byP[p])
+	return off, colA, colB
+}
+
+// bucketOffsets counts facts per key in [0, n) and returns the n+1 prefix
+// offsets: bucket k spans [off[k], off[k+1]).
+func bucketOffsets(facts []Fact, n int, key func(*Fact) vocab.TermID) []int {
+	off := make([]int, n+1)
+	for i := range facts {
+		off[key(&facts[i])+1]++
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	const batch = 256
-	total := int64(len(idSlices) + len(factSlices))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := next.Add(batch) - batch
-				if lo >= total {
-					return
-				}
-				hi := lo + batch
-				if hi > total {
-					hi = total
-				}
-				for i := lo; i < hi; i++ {
-					if i < int64(len(idSlices)) {
-						ids := idSlices[i]
-						sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-					} else {
-						fs := factSlices[i-int64(len(idSlices))]
-						sort.Slice(fs, func(a, b int) bool { return fs[a].Less(fs[b]) })
-					}
-				}
-			}
-		}()
+	for k := 1; k <= n; k++ {
+		off[k] += off[k-1]
 	}
-	wg.Wait()
+	return off
+}
+
+// bucket returns the range of off's bucket k, empty when k is out of range.
+func bucket(off []int, k vocab.TermID) (lo, hi int) {
+	if k < 0 || int(k)+1 >= len(off) {
+		return 0, 0
+	}
+	return off[k], off[k+1]
+}
+
+// narrow narrows the sorted keys[lo:hi] to the entries equal to k.
+func narrow(keys []vocab.TermID, lo, hi int, k vocab.TermID) (int, int) {
+	ks := keys[lo:hi]
+	i := sort.Search(len(ks), func(i int) bool { return ks[i] >= k })
+	j := i + sort.Search(len(ks)-i, func(j int) bool { return ks[i+j] > k })
+	return lo + i, lo + j
 }
 
 // Size returns the number of stored facts.
-func (s *Store) Size() int { return len(s.facts) }
+func (s *Store) Size() int { return len(s.pso) }
 
 // Has reports exact membership of a fact.
 func (s *Store) Has(f Fact) bool {
-	_, ok := s.facts[f]
-	return ok
+	objs := s.Objects(f.S, f.P)
+	i := sort.Search(len(objs), func(i int) bool { return objs[i] >= f.O })
+	return i < len(objs) && objs[i] == f.O
 }
 
 // ImpliesFact reports whether the ontology semantically implies f, i.e.
@@ -257,7 +260,7 @@ func (s *Store) ImpliesFact(f Fact) bool {
 		if !s.v.LeqR(f.P, p) {
 			continue
 		}
-		for _, g := range s.byP[p] {
+		for _, g := range s.FactsWithPredicate(p) {
 			if s.v.LeqE(f.S, g.S) && s.v.LeqE(f.O, g.O) {
 				return true
 			}
@@ -269,38 +272,37 @@ func (s *Store) ImpliesFact(f Fact) bool {
 // Objects returns the objects o such that ⟨s, p, o⟩ is stored, sorted.
 // The returned slice is shared; callers must not modify it.
 func (s *Store) Objects(subj, pred vocab.TermID) []vocab.TermID {
-	return s.bySP[spKey{subj, pred}]
+	lo, hi := bucket(s.sOff, subj)
+	lo, hi = narrow(s.spP, lo, hi, pred)
+	return s.spO[lo:hi:hi]
 }
 
 // Subjects returns the subjects x such that ⟨x, p, o⟩ is stored, sorted.
+// The returned slice is shared; callers must not modify it.
 func (s *Store) Subjects(pred, obj vocab.TermID) []vocab.TermID {
-	return s.byPO[spKey{pred, obj}]
+	lo, hi := bucket(s.oOff, obj)
+	lo, hi = narrow(s.opP, lo, hi, pred)
+	return s.opS[lo:hi:hi]
 }
 
 // FactsWithPredicate returns all stored facts with the given predicate,
 // sorted. The returned slice is shared; callers must not modify it.
-func (s *Store) FactsWithPredicate(p vocab.TermID) []Fact { return s.byP[p] }
+func (s *Store) FactsWithPredicate(p vocab.TermID) []Fact {
+	lo, hi := bucket(s.pOff, p)
+	return s.pso[lo:hi:hi]
+}
 
 // Predicates returns the relations that appear in at least one stored fact,
-// sorted by ID. On a frozen store the result is a shared index slice; do not
-// modify it.
-func (s *Store) Predicates() []vocab.TermID {
-	if s.frozen {
-		return s.predList
-	}
-	out := make([]vocab.TermID, 0, len(s.byP))
-	for p := range s.byP {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// sorted by ID. The result is a shared index slice; do not modify it.
+func (s *Store) Predicates() []vocab.TermID { return s.predList }
 
 // AllFacts returns every stored fact as a canonical fact-set.
 func (s *Store) AllFacts() FactSet {
-	out := make([]Fact, 0, len(s.facts))
-	for f := range s.facts {
-		out = append(out, f)
+	out := make(FactSet, 0, len(s.pso))
+	for subj := 0; subj+1 < len(s.sOff); subj++ {
+		for i := s.sOff[subj]; i < s.sOff[subj+1]; i++ {
+			out = append(out, Fact{S: vocab.TermID(subj), P: s.spP[i], O: s.spO[i]})
+		}
 	}
-	return NewFactSet(out...)
+	return out
 }

@@ -111,7 +111,7 @@ func BenchmarkSemanticStar(b *testing.B) {
 	if err := synth.WriteScaleNTriples(&buf, synth.SmokeScale()); err != nil {
 		b.Fatal(err)
 	}
-	_, st, _, err := ontology.LoadNTriples(&buf)
+	_, st, _, err := ontology.LoadNTriples(&buf, ontology.LoadOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -173,8 +173,11 @@ func TestSemanticStreamAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := ontology.NewStore(v)
-		for s.Size() < nFacts {
-			s.MustAdd(ontology.Fact{S: elems[rng.Intn(len(elems))], P: r, O: elems[rng.Intn(len(elems))]})
+		seen := make(map[ontology.Fact]bool)
+		for len(seen) < nFacts {
+			f := ontology.Fact{S: elems[rng.Intn(len(elems))], P: r, O: elems[rng.Intn(len(elems))]}
+			seen[f] = true
+			s.MustAdd(f)
 		}
 		s.Freeze()
 		e := sparql.NewEvaluator(s)

@@ -26,42 +26,6 @@ func TestWriteScaleNTriplesDeterministic(t *testing.T) {
 	}
 }
 
-func TestScaleIngestSerialParallelAgree(t *testing.T) {
-	cfg := SmokeScale()
-	var buf bytes.Buffer
-	if err := WriteScaleNTriples(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	sv, ss, sstats, err := ontology.LoadNTriples(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pv, ps, pstats, err := ontology.LoadNTriplesParallel(bytes.NewReader(buf.Bytes()), ontology.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *sstats != *pstats {
-		t.Fatalf("stats divergence: %+v vs %+v", *sstats, *pstats)
-	}
-	if sv.NumElements() != pv.NumElements() || sv.NumRelations() != pv.NumRelations() {
-		t.Fatalf("vocab divergence: (%d,%d) vs (%d,%d)",
-			sv.NumElements(), sv.NumRelations(), pv.NumElements(), pv.NumRelations())
-	}
-	if ss.Size() != ps.Size() {
-		t.Fatalf("store divergence: %d vs %d facts", ss.Size(), ps.Size())
-	}
-	if sstats.Triples != cfg.TripleCount() {
-		t.Fatalf("parsed %d triples, generator claims %d", sstats.Triples, cfg.TripleCount())
-	}
-	// The generated names must round-trip into the vocabulary, including
-	// the percent-encoded IRI spellings.
-	for _, name := range []string{ScaleClassName(3), ScaleClassName(10), ScaleInstName(4), ScaleInstName(0)} {
-		if pv.Element(name) == 0 && name != pv.ElementName(0) {
-			t.Fatalf("element %q missing from vocabulary", name)
-		}
-	}
-}
-
 func TestSampleFleetShapes(t *testing.T) {
 	scale := SmokeScale()
 	fleet := SampleFleet(scale, FleetConfig{Queries: 400, Seed: 9})
@@ -101,7 +65,7 @@ func loadSmokeStore(t testing.TB) *ontology.Store {
 	if err := WriteScaleNTriples(&buf, SmokeScale()); err != nil {
 		t.Fatal(err)
 	}
-	_, store, _, err := ontology.LoadNTriplesParallel(bytes.NewReader(buf.Bytes()), ontology.LoadOptions{})
+	_, store, _, err := ontology.LoadNTriples(bytes.NewReader(buf.Bytes()), ontology.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

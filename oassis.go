@@ -219,20 +219,10 @@ type NTriplesStats = ontology.NTriplesStats
 // like YAGO, which the paper's prototype used) into a fresh vocabulary and
 // store: rdf:type / rdfs:subClassOf / rdfs:subPropertyOf / rdfs:label map
 // onto the OASSIS model; other literal-valued triples are skipped. The
-// import runs on the parallel pipeline (chunked parse, sharded interning,
-// concurrent index builds) and produces output byte-identical to a serial
-// pass; see LoadNTriplesOptions for worker and observability control.
+// import parses on every core (chunked parse, sharded interning) and
+// produces output byte-identical to a serial pass.
 func LoadNTriples(r io.Reader) (*Vocabulary, *Ontology, *NTriplesStats, error) {
-	return ontology.LoadNTriplesParallel(r, ontology.LoadOptions{})
-}
-
-// NTriplesLoadOptions tunes LoadNTriplesOptions; the zero value means
-// GOMAXPROCS workers, default chunking, no observation.
-type NTriplesLoadOptions = ontology.LoadOptions
-
-// LoadNTriplesOptions is LoadNTriples with explicit pipeline options.
-func LoadNTriplesOptions(r io.Reader, opt NTriplesLoadOptions) (*Vocabulary, *Ontology, *NTriplesStats, error) {
-	return ontology.LoadNTriplesParallel(r, opt)
+	return ontology.LoadNTriples(r, ontology.LoadOptions{})
 }
 
 // ParseFact parses one "subject predicate object" line against an existing
